@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.special import ive
+from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.special import i0e, ive
 
 from .core import (
     ControlField,
@@ -105,23 +105,39 @@ def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np
 
     Uses the exponentially scaled Bessel function; the recombined exponent
     has real part -(sqrt(d z) - sqrt(h))^2 / (1 + delta^2) <= 0, so the
-    evaluation never overflows at any depth.
+    evaluation never overflows at any depth.  On resonance (delta == 0) the
+    Bessel argument is real and the bracket is returned as the real array
+    i0e(2 sqrt(h) sqrt(d z)) * exp(-(sqrt(d z) - sqrt(h))^2), the same
+    identity as :func:`~photonmem.kernel.kernel_eval`.
     """
-    denom = 1.0 + 1j * params.delta
+    h = np.asarray(h, dtype=float)
     dz = params.d * zeta
+    if params.delta == 0.0:
+        sh, sdz = np.sqrt(h), np.sqrt(dz)
+        return i0e(2.0 * np.outer(sh, sdz)) * np.exp(-((sdz[None, :] - sh[:, None]) ** 2))
+    denom = 1.0 + 1j * params.delta
     root = 2.0 * np.sqrt(np.outer(h, dz))
     z_arg = root / denom
-    expo = -(dz[None, :] + np.asarray(h)[:, None]) / denom + z_arg.real
+    expo = -(dz[None, :] + h[:, None]) / denom + z_arg.real
     return ive(0, z_arg) * np.exp(expo)
+
+
+def _emission_matrix(h: np.ndarray, grid: SpaceGrid, params: MediumParams) -> np.ndarray:
+    """Rows k map retrieval-frame spin-wave samples s to q(h_k).
+
+    The bracket quadrature against s(1 - zeta): bracket columns reversed and
+    weighted by weights / (1 + i delta); needs a grid symmetric under
+    zeta -> 1 - zeta.
+    """
+    if not grid.is_symmetric:
+        raise ValueError("adiabatic forms require a grid symmetric under zeta -> 1 - zeta")
+    kappa = _bracket_matrix(np.atleast_1d(h), grid.nodes, params)
+    return kappa[:, ::-1] * (grid.weights / (1.0 + 1j * params.delta))
 
 
 def _emission_profile(h: np.ndarray, s: SpinWave, params: MediumParams) -> np.ndarray:
     """q(h): the bracket integral against s(1 - zeta) on the wave's grid."""
-    if not s.grid.is_symmetric:
-        raise ValueError("adiabatic forms require a grid symmetric under zeta -> 1 - zeta")
-    kappa = _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params)
-    weights = s.grid.weights * s.samples[::-1] / (1.0 + 1j * params.delta)
-    return kappa @ weights
+    return _emission_matrix(h, s.grid, params) @ s.samples
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -141,12 +157,8 @@ def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) 
     k-th control time; reused by the optimizer to iterate composite maps as
     plain matrix-vector products.
     """
-    if not grid.is_symmetric:
-        raise ValueError("adiabatic forms require a grid symmetric under zeta -> 1 - zeta")
     h = DecayFunction.from_control(ctrl).h
-    kappa = _bracket_matrix(h, grid.nodes, params)
-    col_w = (grid.weights / (1.0 + 1j * params.delta))[None, :]
-    return -math.sqrt(params.d) * ctrl.samples[:, None] * kappa[:, ::-1] * col_w
+    return -math.sqrt(params.d) * ctrl.samples[:, None] * _emission_matrix(h, grid, params)
 
 
 def storage_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
@@ -219,12 +231,12 @@ class ShapingResult:
 
 
 def _tabulate_energy_curve(s: SpinWave, params: MediumParams, h_max: float, m: int = 4001):
-    """G(h) = d * integral |q|^2 dh' tabulated on a sqrt(h) grid."""
+    """G(h) = d * integral |q|^2 dh' and its rate dG/du tabulated on a sqrt(h) grid."""
     u = np.linspace(0.0, math.sqrt(h_max), m)
     q = _emission_profile(u**2, s, params)
-    integrand = params.d * np.abs(q) ** 2 * 2.0 * u
-    g = cumulative_simpson(integrand, x=u, initial=0.0)
-    return u, np.maximum.accumulate(g), q
+    rate = params.d * np.abs(q) ** 2 * 2.0 * u
+    g = cumulative_simpson(rate, x=u, initial=0.0)
+    return u, np.maximum.accumulate(g), rate
 
 
 def shape_retrieval_control(
@@ -236,13 +248,16 @@ def shape_retrieval_control(
     """Find the control that retrieves ``s`` into sqrt(eta_r) * ``target``.
 
     The accumulated-power clock h(tau) is the unique solution of
-    G(h(tau)) = eta_r * (cumulative target energy); it is found by monotone
-    inversion of a dense tabulation of G refined with Newton steps.  The
-    magnitude follows from dh/dtau by centered differences (one-sided at the
-    ends, round-off negatives clamped), the phase from the closed-form
-    output evaluated at h(tau).  Where the demanded h exceeds ``h_max`` the
-    clock is capped and the control switches off; the unmet energy fraction
-    is reported as the truncation loss.
+    G(h(tau)) = eta_r * (cumulative target energy).  G and its rate
+    dG/du (u = sqrt(h)) are tabulated once on a dense sqrt(h) grid; h(tau)
+    comes from monotone inversion of that table, refined by two Newton
+    steps that read the rate from a cubic spline of the tabulated values.
+    The magnitude follows from dh/dtau by centered differences (one-sided
+    at the ends, round-off negatives clamped), the phase from the
+    closed-form output evaluated exactly at h(tau).  Only the table and
+    that phase evaluation compute the bracket.  Where the demanded h
+    exceeds ``h_max`` the clock is capped and the control switches off; the
+    unmet energy fraction is reported as the truncation loss.
     """
     if h_max is None:
         h_max = default_h_max(params)
@@ -264,27 +279,23 @@ def shape_retrieval_control(
     demanded = eta_r * cum / total  # target assumed unit norm; rescale defensively
     demanded_tail = eta_r * tail_cum / total
 
-    u_tab, g_tab, q_tab = _tabulate_energy_curve(s, params, h_max)
+    u_tab, g_tab, f_tab = _tabulate_energy_curve(s, params, h_max)
     g_cap = float(g_tab[-1])
     truncation_loss = float(max(0.0, 1.0 - g_cap / eta_r))
 
-    f_tab = params.d * np.abs(q_tab) ** 2 * 2.0 * u_tab
     # remaining deliverable energy, integrated from the cap downward so the
     # exponentially small tail is not lost to cancellation
     tail_tab = cumulative_simpson(
         f_tab[::-1], x=(u_tab[-1] - u_tab)[::-1], initial=0.0
     )[::-1]
 
-    def energy_rate(u_vals):
-        q = _emission_profile(u_vals**2, s, params)
-        return params.d * np.abs(q) ** 2 * 2.0 * u_vals
-
     # The delivered-energy clock G(h) saturates exponentially, so inverting
     # G(h) = demanded is ill-conditioned near the end of the pulse.  Split:
-    # the bulk is solved on the forward curve with Newton against local
-    # Simpson panels (table-interpolation error removed); the near-saturation
-    # band is solved on the subtraction-free log-tail curve, which stays
-    # well-conditioned all the way to the power cap.
+    # the bulk is solved on the forward curve with Newton steps whose local
+    # Simpson panel reads the rate from a cubic spline of the tabulated
+    # rate (no new bracket evaluations); the near-saturation band is solved
+    # on the subtraction-free log-tail curve, which stays well-conditioned
+    # all the way to the power cap.
     tail_switch = 1e-3 * eta_r
     resolvable = max(float(tail_tab[-2]), 1e-290)
     truncated = demanded_tail <= resolvable
@@ -295,6 +306,7 @@ def shape_retrieval_control(
     if np.any(bulk):
         keep = np.concatenate([[True], np.diff(g_tab) > 0])
         inv = PchipInterpolator(g_tab[keep], u_tab[keep])
+        energy_rate = CubicSpline(u_tab, f_tab)
         u_b = np.clip(inv(demanded[bulk]), 0.0, u_tab[-1])
         for _ in range(2):
             idx = np.clip(np.searchsorted(u_tab, u_b, side="right") - 1, 0, u_tab.size - 1)
@@ -317,6 +329,8 @@ def shape_retrieval_control(
     h[0] = 0.0
 
     magnitude = np.sqrt(np.clip(np.gradient(h, dt), 0.0, None))
+    # exact, not interpolated from the table: at |delta| >~ 200 arg q turns
+    # by more than 1 rad per table step
     q_at_h = _emission_profile(h, s, params)
     phase_ref = -target.samples * np.conj(q_at_h)
     phase = np.where(np.abs(phase_ref) > 0, np.angle(phase_ref), 0.0)

@@ -245,23 +245,28 @@ def _curve_point(task: tuple) -> dict:
     from .optimizer import forward_max_efficiency
     from .simulator import simulate_storage
 
+    grid = SpaceGrid.gauss_legendre(gauss_nodes)
+    _, eta_max = optimal_spin_wave(d, grid, tol=tol)
+    eta_back = eta_max**2
+    eta_forw = forward_max_efficiency(d, grid)
+    input_mode = make_reference_input(input_T, TimeGrid.linspace(0, input_T, input_n))
+    omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
+    ctrl = ControlField(
+        grid=input_mode.grid,
+        samples=np.full(input_mode.grid.n, omega_sq, dtype=complex),
+    )
+    run = simulate_storage(input_mode, ctrl, MediumParams(d=d, delta=delta), n_zeta=n_zeta)
+    stored = SpinWave(grid=run.final_state.grid, samples=run.final_state.S)
+    eta_square = retrieval_efficiency(flip(stored), d)
+    return {"d": d, "eta_back": eta_back, "eta_forw": eta_forw, "eta_square": eta_square}
+
+
+def _curve_point_or_error(task: tuple) -> dict:
+    """:func:`_curve_point`, with a failure turned into a NaN row carrying ``error``."""
     try:
-        grid = SpaceGrid.gauss_legendre(gauss_nodes)
-        _, eta_max = optimal_spin_wave(d, grid, tol=tol)
-        eta_back = eta_max**2
-        eta_forw = forward_max_efficiency(d, grid)
-        input_mode = make_reference_input(input_T, TimeGrid.linspace(0, input_T, input_n))
-        omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
-        ctrl = ControlField(
-            grid=input_mode.grid,
-            samples=np.full(input_mode.grid.n, omega_sq, dtype=complex),
-        )
-        run = simulate_storage(input_mode, ctrl, MediumParams(d=d, delta=delta), n_zeta=n_zeta)
-        stored = SpinWave(grid=run.final_state.grid, samples=run.final_state.S)
-        eta_square = retrieval_efficiency(flip(stored), d)
-        return {"d": d, "eta_back": eta_back, "eta_forw": eta_forw, "eta_square": eta_square}
+        return _curve_point(task)
     except Exception as exc:  # per-point failure becomes NaN, sweep continues
-        return {"d": d, "eta_back": math.nan, "eta_forw": math.nan,
+        return {"d": task[0], "eta_back": math.nan, "eta_forw": math.nan,
                 "eta_square": math.nan, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -274,12 +279,12 @@ def cmd_curves(cfg: RunConfig) -> int:
     ]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            points = list(pool.map(_curve_point, tasks))
+            points = list(pool.map(_curve_point_or_error, tasks))
     else:
-        points = [_curve_point(t) for t in tasks]
-    for p in points:
-        if "error" in p:
-            print(f"warning: d={p['d']:g} failed: {p['error']}", file=sys.stderr)
+        points = [_curve_point_or_error(t) for t in tasks]
+    failed = [p for p in points if "error" in p]
+    for p in failed:
+        print(f"warning: d={p['d']:g} failed: {p['error']}", file=sys.stderr)
     _write_csv(
         out / "curves.csv",
         ["d", "eta_back", "eta_forw", "eta_square"],
@@ -292,7 +297,7 @@ def cmd_curves(cfg: RunConfig) -> int:
                     "delta": cfg.delta, "input_T": cfg.input_T},
          "results": points, "metadata": _metadata(cfg)},
     )
-    return 0
+    return 2 if failed else 0
 
 
 def _parse_piecewise_control(spec: str, grid: TimeGrid, key: str) -> ControlField:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from photonmem import TimeGrid, mode_norm2
+from photonmem import TimeGrid, cli, mode_norm2
 from photonmem.cli import (
     ConfigError,
     RunConfig,
@@ -191,6 +191,26 @@ class TestExitCodes:
         cfg.write_text("gauss_nodes = 1\n")
         rc = main(["optimal-spinwave", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_failed_sweep_point_is_two(self, tmp_path, monkeypatch):
+        real_point = cli._curve_point
+
+        def flaky(task):
+            if task[0] == 1.0:
+                raise RuntimeError("injected failure")
+            return real_point(task)
+
+        monkeypatch.setattr(cli, "_curve_point", flaky)
+        out = tmp_path / "c"
+        rc = main([
+            "curves", "--d-min", "1", "--d-max", "20", "--d-points", "3", "--jobs", "1",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        results = json.loads((out / "curves_summary.json").read_text())["results"]
+        assert [r["d"] for r in results] == pytest.approx([1.0, np.sqrt(20.0), 20.0])
+        assert [("error" in r) for r in results] == [True, False, False]
+        assert "injected failure" in results[0]["error"]
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"
