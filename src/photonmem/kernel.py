@@ -20,6 +20,7 @@ from scipy.special import i0e
 
 from .core import (
     ConvergenceError,
+    GridError,
     MediumParams,
     SpaceGrid,
     SpinWave,
@@ -63,6 +64,20 @@ def kernel_eval(d, zeta, zeta_p):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _check_resolved(eta: float, d: float, grid: SpaceGrid) -> None:
+    """Reject a dominant eigenvalue above 1, which no spin wave can reach.
+
+    The exact maximum efficiency is below 1 at every depth; a larger value
+    means the quadrature grid under-resolves the kernel (its boundary layer
+    narrows as d grows).
+    """
+    if eta > 1.0:
+        raise GridError(
+            f"eta_max = {eta:.6g} > 1 at d={d:g} on {grid.n} nodes: the grid "
+            "under-resolves the kernel; use more Gauss nodes"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +139,8 @@ def power_iteration(
     integral operator with renormalization, estimating the eigenvalue by the
     Rayleigh quotient.  Converged when successive eigenvalue estimates differ
     by less than ``tol`` and the eigenvector moves by less than sqrt(tol) in
-    the weighted L2 norm.
+    the weighted L2 norm.  Raises :class:`GridError` when the converged
+    eigenvalue exceeds 1 (the grid is too coarse for the depth).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -141,6 +157,7 @@ def power_iteration(
         move = np.sqrt(np.dot(w, (s_new - s) ** 2))
         s = s_new
         if abs(eta - eta_prev) < tol and move < np.sqrt(tol):
+            _check_resolved(eta, op.params.d, op.grid)
             return s, eta, it
         eta_prev = eta
     raise ConvergenceError(
@@ -171,7 +188,8 @@ def dense_max_eigenpair(d: float, grid: SpaceGrid | None = None) -> tuple[SpinWa
 
     Independent of the power iteration: the kernel is symmetrized with
     sqrt-weight similarity and handed to a dense eigensolver.  Used as an
-    oracle and for spectra beyond the leading eigenvalue.
+    oracle and for spectra beyond the leading eigenvalue.  Raises
+    :class:`GridError` when the eigenvalue exceeds 1, as power iteration does.
     """
     from scipy.linalg import eigh
 
@@ -183,6 +201,7 @@ def dense_max_eigenpair(d: float, grid: SpaceGrid | None = None) -> tuple[SpinWa
     sym = sw[:, None] * k * sw[None, :]
     vals, vecs = eigh(sym)
     eta = float(vals[-1])
+    _check_resolved(eta, d, grid)
     v = vecs[:, -1] / sw
     v /= np.sqrt(np.dot(w, v**2))
     if np.dot(w, v) < 0:

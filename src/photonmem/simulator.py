@@ -13,6 +13,16 @@ hold exactly, so the only balance defect left is the RK4 time-stepping error
 (which the energy audit measures, and which shrinks 16x per step halving).
 Input energy, leaked energy and decayed energy are integrated as additional
 RK4 state components for the same reason.
+
+Time stepping is two-level.  The window is split into uniform coarse steps
+sized by the medium (detuning, optical depth) and by the sampling of the
+input and control, but not by the control's strength.  Each coarse step is
+cut into equal RK4 substeps as the control's local magnitude requires, so a
+brief strong spike of a shaped control no longer sets the step for the whole
+window.  The output field is kept at the coarse boundaries, which are exact
+RK4 states, so it stays on a uniform time grid.  Where no step needs a
+substep the step sequence is exactly the uniform one; an explicit ``dtau``
+always runs uniform.
 """
 
 from __future__ import annotations
@@ -120,39 +130,42 @@ def _waveform_on(times: np.ndarray, wf: Waveform) -> np.ndarray:
     return vals
 
 
-def _max_abs(wf: Waveform, window: tuple[float, float]) -> float:
-    if wf is None:
-        return 0.0
-    if isinstance(wf, (FieldMode, ControlField)):
-        return float(np.max(np.abs(wf.samples)))
-    probe = np.linspace(window[0], window[1], 513)
-    return float(np.max(np.abs(np.asarray(wf(probe), dtype=complex))))
-
-
 def default_dtau(
     params: MediumParams,
     ctrl: Waveform,
-    window: tuple[float, float],
     input_mode: FieldMode | None = None,
 ) -> float:
-    """Step-size heuristic: resolve the control power, detuning rotation,
-    collective coupling, and any sampled-input structure.
+    """Coarse step: resolve the detuning rotation, collective coupling, and
+    the sampling of a sampled control or input.
 
-    The control term takes the looser of a power-resolving bound (.5/|w|^2,
-    right for moderate drives) and a rotation-resolving bound (.3/|w|, right
-    for brief strong spikes such as shaped-control leading edges); the
-    balance-defect refinement loop catches any case where that is too
-    optimistic.
+    The control's strength is left out; :func:`_substeps` cuts each coarse
+    step into as many RK4 substeps as the control there needs.
     """
-    omega_max = _max_abs(ctrl, window)
     dt = min(0.05, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
-    if omega_max > 0:
-        dt = min(dt, max(0.5 / omega_max**2, 0.3 / omega_max))
     if isinstance(ctrl, ControlField):
         dt = min(dt, ctrl.grid.dtau)
     if input_mode is not None:
         dt = min(dt, input_mode.grid.dtau)
     return dt
+
+
+def _substeps(om_half: np.ndarray, dt: float, scale: float) -> np.ndarray:
+    """Equal RK4 substeps per coarse step of size ``dt``.
+
+    Coarse step k is resolved at the looser of a power-resolving bound
+    (.5/|w|^2, right for moderate drives) and a rotation-resolving bound
+    (.3/|w|, right for brief strong spikes such as shaped-control leading
+    edges), where w is the largest |omega| at its three half-grid points of
+    ``om_half``.  ``scale`` shrinks that bound with each audit refinement;
+    the balance-defect refinement loop catches any case where the bound is
+    too optimistic.
+    """
+    a = np.abs(om_half)
+    w = np.maximum(np.maximum(a[:-1:2], a[1::2]), a[2::2])
+    bound = np.full(w.shape, np.inf)
+    on = w > 0
+    bound[on] = scale * np.maximum(0.5 / w[on] ** 2, 0.3 / w[on])
+    return np.maximum(1, np.ceil(dt / bound - 1e-12)).astype(np.int64)
 
 
 class _Integrator:
@@ -183,7 +196,10 @@ class _Integrator:
         return dp, ds, din, dleak, ddec
 
     def run(self, p0, s0, t0, dt, n_steps, e_in_half, om_half, record_output=True):
-        """March n_steps of RK4; half-grid arrays hold the drive at stage times."""
+        """March n_steps of RK4; half-grid arrays hold the drive at stage times.
+
+        ``dt`` is one step size for all steps or an array of per-step sizes.
+        """
         p = np.array(p0, dtype=complex)
         s = np.array(s0, dtype=complex)
         acc_in = acc_leak = acc_dec = 0.0
@@ -192,7 +208,9 @@ class _Integrator:
         if record_output:
             out[0] = self.field_profile(p, e_in_half[0])[1]
         check_every = 64
-        for k in range(n_steps):
+        tau = t0
+        steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,)).tolist()
+        for k, dt in enumerate(steps):
             e0, e1, e2 = e_in_half[2 * k], e_in_half[2 * k + 1], e_in_half[2 * k + 2]
             w0, w1, w2 = om_half[2 * k], om_half[2 * k + 1], om_half[2 * k + 2]
             k1 = self._rhs(p, s, e0, w0)
@@ -204,13 +222,14 @@ class _Integrator:
             acc_in += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
             acc_leak += (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
             acc_dec += (dt / 6.0) * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+            tau += dt
             if record_output:
                 out[k + 1] = self.field_profile(p, e2)[1]
             if (k + 1) % check_every == 0 or k == n_steps - 1:
                 n_now = self.dz * float(np.sum(np.abs(p) ** 2 + np.abs(s) ** 2))
                 if not np.isfinite(n_now):
                     raise InstabilityError(
-                        f"non-finite state at tau={t0 + (k + 1) * dt:.3f}; reduce dtau"
+                        f"non-finite state at tau={tau:.3f}; reduce dtau"
                     )
                 # leaked/decayed energy never returns, so the excitation still
                 # in the medium can only exceed the injected budget through
@@ -222,9 +241,12 @@ class _Integrator:
         return p, s, out, acc_in, acc_leak, acc_dec, n0
 
 
-def _half_grid(wf: Waveform, t0: float, dt: float, n_steps: int) -> np.ndarray:
-    times = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-    return _waveform_on(times, wf)
+def _half_times(t0: float, dt: float, m: np.ndarray) -> np.ndarray:
+    """Stage times t0 + dt/2 (2k + i/m_k), i = 0 .. 2 m_k, of all substeps."""
+    reps = 2 * m
+    i = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+    x = np.repeat(2 * np.arange(m.size), reps) + i / np.repeat(m, reps)
+    return t0 + 0.5 * dt * np.append(x, 2.0 * m.size)
 
 
 def _run_window(
@@ -235,19 +257,42 @@ def _run_window(
     dtau: float,
     input_mode: Waveform,
     ctrl: Waveform,
+    substep_scale: float | None = None,
 ):
+    """Integrate over ``window`` on coarse steps of at most ``dtau``.
+
+    With ``substep_scale`` set, each coarse step is cut into the RK4
+    substeps :func:`_substeps` asks for; ``None`` keeps every step coarse.
+    The output field is returned at the coarse boundaries only.
+    """
     t0, t1 = window
-    n_steps = max(2, int(math.ceil((t1 - t0) / dtau - 1e-12)))
+    n_coarse = max(2, int(math.ceil((t1 - t0) / dtau - 1e-12)))
+    if n_coarse > MAX_STEPS:
+        raise InstabilityError(f"required {n_coarse} steps exceeds limit; widen dtau")
+    dt = (t1 - t0) / n_coarse
+    m = np.ones(n_coarse, dtype=np.int64)
+    times = _half_times(t0, dt, m)
+    om_half = _waveform_on(times, ctrl)
+    if substep_scale is not None:
+        m = _substeps(om_half, dt, substep_scale)
+    n_steps = int(m.sum())
     if n_steps > MAX_STEPS:
-        raise InstabilityError(f"required {n_steps} steps exceeds limit; widen dtau")
-    dt = (t1 - t0) / n_steps
-    e_half = _half_grid(input_mode, t0, dt, n_steps)
-    om_half = _half_grid(ctrl, t0, dt, n_steps)
+        raise InstabilityError(
+            f"required {n_steps} steps ({n_coarse} coarse) under the control exceeds limit"
+        )
+    if n_steps > n_coarse:
+        times = _half_times(t0, dt, m)
+        om_half = _waveform_on(times, ctrl)
+    e_half = _waveform_on(times, input_mode)
     p, s, out, acc_in, acc_leak, acc_dec, n0 = integ.run(
-        p0, s0, t0, dt, n_steps, e_half, om_half
+        p0, s0, t0, np.repeat(dt / m, m), n_steps, e_half, om_half
     )
-    out_grid = TimeGrid(tau0=t0, dtau=dt, n=n_steps + 1)
-    return p, s, FieldMode(grid=out_grid, samples=out), acc_in, acc_leak, acc_dec, n0, dt, n_steps
+    out = out[np.concatenate(([0], np.cumsum(m)))]
+    out_grid = TimeGrid(tau0=t0, dtau=dt, n=n_coarse + 1)
+    return (
+        p, s, FieldMode(grid=out_grid, samples=out), acc_in, acc_leak, acc_dec, n0,
+        dt, n_steps, dt / int(m.max()),
+    )
 
 
 def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
@@ -273,7 +318,7 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
 
 def _make_result(
     integ, p, s, output_mode, denom, stored, leaked, decayed, residual_p,
-    acc_in, n0, dtau, n_steps, refinements, kind, ring_time,
+    acc_in, n0, dtau, n_steps, dtau_min, refinements, kind, ring_time,
 ) -> SimulationResult:
     defect = (stored + residual_p + leaked + decayed) - (n0 + acc_in)
     scale = denom if denom > 0 else 1.0
@@ -302,6 +347,7 @@ def _make_result(
         "kind": kind,
         "dtau": dtau,
         "n_steps": n_steps,
+        "dtau_min": dtau_min,
         "n_zeta": integ.grid.n,
         "refinements": refinements,
         "defect": defect,
@@ -331,20 +377,22 @@ def simulate_storage(
 
     Integrates over the input window, then (by default) lets the leftover
     polarization ring down with the drive off so the reported fractions
-    satisfy the storage sum rule.  The step size is halved automatically
-    until the energy-balance defect is below tolerance.
+    satisfy the storage sum rule.  The step size (coarse step and local
+    substep bound alike) is halved automatically until the energy-balance
+    defect is below tolerance.
     """
     if n_zeta < 64:
         raise ValueError("n_zeta must be at least 64")
     window = (input_mode.grid.tau0, input_mode.grid.t_end)
-    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, window, input_mode)
+    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, input_mode)
     refinements = 0
     while True:
         integ = _Integrator(params, n_zeta)
         try:
             p0 = np.zeros(n_zeta, dtype=complex)
-            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps = _run_window(
-                integ, p0, p0, window, dt0, input_mode, ctrl
+            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
+                integ, p0, p0, window, dt0, input_mode, ctrl,
+                substep_scale=None if dtau is not None else 0.5**refinements,
             )
             ring_time = 0.0
             if ring_down:
@@ -368,7 +416,7 @@ def simulate_storage(
             continue
         return _make_result(
             integ, p, s, out_mode, acc_in, stored, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, refinements, "storage", ring_time,
+            acc_in, n0, dt, n_steps, dt_min, refinements, "storage", ring_time,
         )
 
 
@@ -402,13 +450,14 @@ def simulate_retrieval(
     sim_grid = SpaceGrid.uniform_midpoint(n_zeta)
     s0 = resample_spinwave(s_frame, sim_grid).samples
 
-    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, window)
+    dt0 = dtau if dtau is not None else default_dtau(params, ctrl)
     refinements = 0
     while True:
         integ = _Integrator(params, n_zeta)
         try:
-            p, s_end, out_mode, acc_in, leak, dec, n0, dt, n_steps = _run_window(
-                integ, np.zeros(n_zeta, dtype=complex), s0, window, dt0, None, ctrl
+            p, s_end, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
+                integ, np.zeros(n_zeta, dtype=complex), s0, window, dt0, None, ctrl,
+                substep_scale=None if dtau is not None else 0.5**refinements,
             )
             ring_time = 0.0
             if ring_down:
@@ -432,7 +481,7 @@ def simulate_retrieval(
             continue
         return _make_result(
             integ, p, s_end, out_mode, n0, remaining_s, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, refinements, "retrieval", ring_time,
+            acc_in, n0, dt, n_steps, dt_min, refinements, "retrieval", ring_time,
         )
 
 
@@ -453,13 +502,13 @@ def simulate_fast_storage(
     if params.delta != 0.0:
         raise ValueError("fast storage requires resonance (delta = 0)")
     window = (input_mode.grid.tau0, input_mode.grid.t_end)
-    dt0 = dtau if dtau is not None else default_dtau(params, None, window, input_mode)
+    dt0 = dtau if dtau is not None else default_dtau(params, None, input_mode)
     refinements = 0
     while True:
         integ = _Integrator(params, n_zeta)
         try:
             z0 = np.zeros(n_zeta, dtype=complex)
-            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps = _run_window(
+            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
                 integ, z0, z0, window, dt0, input_mode, None
             )
             state = EnsembleState(
@@ -488,7 +537,7 @@ def simulate_fast_storage(
             continue
         return _make_result(
             integ, state.P, state.S, out_mode, acc_in, stored, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, refinements, "storage", 0.0,
+            acc_in, n0, dt, n_steps, dt_min, refinements, "storage", 0.0,
         )
 
 

@@ -192,6 +192,13 @@ class TestExitCodes:
         rc = main(["optimal-spinwave", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_under_resolved_grid_is_two(self, tmp_path):
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("gauss_nodes = 50\n")
+        rc = main(["optimal-spinwave", "--config", str(cfg), "--d", "10000",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+
     def test_failed_sweep_point_is_two(self, tmp_path, monkeypatch):
         real_point = cli._curve_point
 

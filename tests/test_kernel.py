@@ -3,6 +3,7 @@ import pytest
 
 from photonmem import (
     ConvergenceError,
+    GridError,
     KernelOperator,
     MediumParams,
     SpaceGrid,
@@ -152,6 +153,18 @@ class TestOptimalSpinWave:
             vals = s.samples.real
             assert np.all(np.diff(vals) > 0)
             assert np.max(np.abs(np.diff(vals, 2))) < 0.05
+
+    @pytest.mark.parametrize("route", [optimal_spin_wave, dense_max_eigenpair])
+    def test_under_resolved_grid_raises(self, route):
+        # 50 nodes miss the boundary layer at d = 1e4 and give eta = 1.258
+        with pytest.raises(GridError, match="more Gauss nodes"):
+            route(1e4, SpaceGrid.gauss_legendre(50))
+
+    @pytest.mark.parametrize("route", [optimal_spin_wave, dense_max_eigenpair])
+    def test_resolved_large_depth_stays_below_one(self, route, gauss_grid):
+        _, eta = route(1e4, gauss_grid)
+        assert eta == pytest.approx(0.99971, abs=1e-5)
+        assert eta <= 1.0
 
     def test_nonconvergence_carries_last_iterate(self):
         with pytest.raises(ConvergenceError) as err:

@@ -13,6 +13,7 @@ from photonmem import (
     flip,
     make_reference_input,
     mode_norm2,
+    optimal_storage_control,
     resample_spinwave,
     retrieval_efficiency,
     retrieve_adiabatic,
@@ -21,8 +22,9 @@ from photonmem import (
     simulate_retrieval,
     simulate_storage,
 )
+from photonmem import simulator
 from photonmem.fast import recommended_fast_grid
-from photonmem.simulator import _Integrator
+from photonmem.simulator import DEFECT_TOL, _Integrator, default_dtau
 
 from conftest import smooth_test_wave
 
@@ -194,6 +196,76 @@ class TestEnergyAccounting:
         assert run1.breakdown.eta_storage == pytest.approx(
             run2.breakdown.eta_storage, abs=1e-4
         )
+
+
+@pytest.fixture(scope="module")
+def shaped_runs(reference_input, gauss_grid):
+    """Shaped Raman controls and their default (locally substepped) runs."""
+    runs = {}
+    for d, delta in ((10.0, 50.0), (100.0, -20.0)):
+        params = MediumParams(d=d, delta=delta)
+        ctrl = optimal_storage_control(reference_input, params, grid=gauss_grid).control
+        runs[d, delta] = params, ctrl, simulate_storage(reference_input, ctrl, params, n_zeta=128)
+    return runs
+
+
+class TestLocalSubsteps:
+    @pytest.mark.parametrize("case", [(10.0, 50.0), (100.0, -20.0)])
+    def test_matches_uniform_oracle(self, case, shaped_runs, reference_input):
+        # the uniform oracle resolves the control's peak everywhere, as the
+        # step rule did before it was applied per coarse step
+        params, ctrl, local = shaped_runs[case]
+        w = float(np.max(np.abs(ctrl.samples)))
+        dt_uniform = min(default_dtau(params, ctrl, reference_input),
+                         max(0.5 / w**2, 0.3 / w))
+        uniform = simulate_storage(reference_input, ctrl, params, n_zeta=128, dtau=dt_uniform)
+        assert local.breakdown.eta_storage == pytest.approx(
+            uniform.breakdown.eta_storage, abs=1e-6
+        )
+        for run in (local, uniform):
+            assert abs(run.diagnostics["defect"]) <= DEFECT_TOL
+            assert run.diagnostics["refinements"] == 0
+        assert local.diagnostics["n_steps"] <= uniform.diagnostics["n_steps"] / 5
+        assert local.diagnostics["dtau_min"] < local.diagnostics["dtau"]
+        assert uniform.diagnostics["dtau_min"] == uniform.diagnostics["dtau"]
+
+    def test_no_substeps_is_bit_identical_to_uniform(self, reference_input, params_d10):
+        ctrl = constant_control(1.2, 20.0, 2001)
+        default = simulate_storage(reference_input, ctrl, params_d10)
+        explicit = simulate_storage(
+            reference_input, ctrl, params_d10, dtau=default_dtau(params_d10, ctrl, reference_input)
+        )
+        assert default.diagnostics["n_steps"] == reference_input.grid.n - 1
+        assert np.array_equal(default.final_state.S, explicit.final_state.S)
+        assert np.array_equal(default.output_mode.samples, explicit.output_mode.samples)
+
+    def test_step_budget_checked_before_drives(self, shaped_runs, reference_input, monkeypatch):
+        params, ctrl, run = shaped_runs[10.0, 50.0]
+        n_coarse = run.output_mode.grid.n - 1
+        n_sub = run.diagnostics["n_steps"]
+        assert n_coarse < n_sub
+        monkeypatch.setattr(simulator, "MAX_STEPS", (n_coarse + n_sub) // 2)
+        evaluated = []
+        real_waveform_on = simulator._waveform_on
+
+        def recording(times, wf):
+            evaluated.append(times.size)
+            return real_waveform_on(times, wf)
+
+        monkeypatch.setattr(simulator, "_waveform_on", recording)
+        with pytest.raises(InstabilityError, match="exceeds limit"):
+            simulate_storage(reference_input, ctrl, params, n_zeta=128, max_refinements=0)
+        # only the coarse control probe ran: no input or substep drive array
+        assert evaluated == [2 * n_coarse + 1]
+
+    def test_non_finite_reports_true_tau(self):
+        integ = _Integrator(MediumParams(d=5.0), 64)
+        p0 = np.zeros(64, dtype=complex)
+        p0[3] = np.nan
+        dts = np.r_[np.full(32, 0.01), np.full(32, 0.02)]
+        zeros = np.zeros(2 * dts.size + 1, dtype=complex)
+        with pytest.raises(InstabilityError, match="tau=1.960"):
+            integ.run(p0, p0, 1.0, dts, dts.size, zeros, zeros)
 
 
 class TestScaledSystemStructure:
