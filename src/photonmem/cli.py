@@ -5,8 +5,10 @@ Subcommands
 optimal-spinwave   optimal retrieval modes and max efficiencies per depth
 shape-controls     optimal storage controls for the reference input
 curves             efficiency-vs-depth sweep (backward/forward/square pulse)
-simulate           storage (and optional retrieval) with a piecewise control
-iterate            time-reversal retrieval optimization from a trial wave
+simulate           storage (and optional retrieval) with a piecewise control,
+                   at a single depth
+iterate            time-reversal retrieval optimization from a trial wave,
+                   at a single depth
 
 Configuration is a flat ``key = value`` text file (# comments allowed);
 command-line flags override file values.  All outputs are deterministic for
@@ -112,6 +114,13 @@ class RunConfig:
         if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
             raise ConfigError("key 'd' must list positive finite depths")
         return vals
+
+    def depth(self) -> float:
+        """The depth of a command that models a single medium."""
+        vals = self.d_list()
+        if len(vals) != 1:
+            raise ConfigError(f"key 'd' must give a single depth here, got {self.d!r}")
+        return vals[0]
 
 
 def parse_config_file(path: Path) -> dict:
@@ -330,7 +339,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     from .simulator import energy_audit, simulate_retrieval, simulate_storage
 
     out = _outdir(cfg)
-    params = MediumParams(d=cfg.d_list()[0], delta=cfg.delta)
+    params = MediumParams(d=cfg.depth(), delta=cfg.delta)
     input_mode = make_reference_input(cfg.input_T, TimeGrid.linspace(0, cfg.input_T, cfg.input_n))
     ctrl = _parse_piecewise_control(cfg.control, input_mode.grid, "control")
     run = simulate_storage(input_mode, ctrl, params, n_zeta=cfg.n_zeta)
@@ -385,7 +394,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
     from .optimizer import completing_control, iterate_retrieval
 
     out = _outdir(cfg)
-    d = cfg.d_list()[0]
+    d = cfg.depth()
     params = MediumParams(d=d, delta=cfg.delta)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
     if cfg.init == "flat":
@@ -423,6 +432,9 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "iterate": cmd_iterate,
 }
+
+# commands that model one medium: they take a single depth, 1 by default
+_SINGLE_DEPTH_COMMANDS = ("simulate", "iterate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -469,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
+        if args.command in _SINGLE_DEPTH_COMMANDS:
+            values.setdefault("d", "1")
         cfg = RunConfig(values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -477,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return _COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (PhotonMemError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

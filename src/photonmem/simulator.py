@@ -1,8 +1,8 @@
 """Direct integration of the scaled light-matter equations.
 
 The field is slaved to the polarization in the comoving frame, so a run
-steps only (P, S) with classical RK4 and rebuilds the field profile at every
-stage by a cumulative sum in space.  The spatial layout is staggered: P and S
+steps only (P, S) with classical RK4; the field enters every stage through
+a cumulative sum of P in space.  The spatial layout is staggered: P and S
 live at cell midpoints, the field at cell faces, with the P equation driven
 by the face average.  That pairing makes the semi-discrete photon-number
 balance
@@ -13,6 +13,19 @@ hold exactly, so the only balance defect left is the RK4 time-stepping error
 (which the energy audit measures, and which shrinks 16x per step halving).
 Input energy, leaked energy and decayed energy are integrated as additional
 RK4 state components for the same reason.
+
+The integrator never builds the field profile.  With C = cumsum(P) the
+face-averaged field is E_in + i sqrt(d) dz (C - P/2), so the P equation
+reads
+
+    dP/dtau = alpha P - beta C + i sqrt(d) E_in + i omega S,
+    alpha = -(gamma + i delta) + d dz / 2,   beta = d dz,
+
+with gamma the polarization damping (1 in scaled units).  The exit-face
+field E_in + i sqrt(d) dz C[-1] comes from the same cumulative sum.  This
+is the same semi-discrete right-hand side with its terms grouped
+differently, so the balance above still holds exactly; only the
+floating-point rounding of each step moves.
 
 Time stepping is two-level.  The window is split into uniform coarse steps
 sized by the medium (detuning, optical depth) and by the sampling of the
@@ -186,48 +199,83 @@ class _Integrator:
         e_centers = e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
         return e_centers, e_end
 
-    def _rhs(self, p, s, e_in, om):
-        e_centers, e_end = self.field_profile(p, e_in)
-        dp = self.decay_coeff * p + 1j * self.sqrt_d * e_centers + 1j * om * s
-        ds = 1j * np.conj(om) * p
-        dleak = abs(e_end) ** 2
-        ddec = 2.0 * self.damping * self.dz * float(np.sum(np.abs(p) ** 2))
-        din = abs(e_in) ** 2
-        return dp, ds, din, dleak, ddec
-
     def run(self, p0, s0, t0, dt, n_steps, e_in_half, om_half, record_output=True):
         """March n_steps of RK4; half-grid arrays hold the drive at stage times.
 
         ``dt`` is one step size for all steps or an array of per-step sizes.
+        (P, S) is one state array ``y = [P, S]``, and every stage works in
+        buffers allocated once per call.  The field profile never appears:
+        it is folded into the P equation (see the module docstring), so one
+        cumulative sum per stage gives both that term and the exit-face field.
         """
-        p = np.array(p0, dtype=complex)
-        s = np.array(s0, dtype=complex)
+        n, dz, sqrt_d = self.grid.n, self.dz, self.sqrt_d
+        alpha = self.decay_coeff + 0.5 * self.params.d * dz
+        beta = self.params.d * dz
+        dec_rate = 2.0 * self.damping * dz
+        y = np.empty(2 * n, dtype=complex)
+        y[:n] = p0
+        y[n:] = s0
+        ys = np.empty_like(y)
+        k1, k2, k3, k4, acc = (np.empty_like(y) for _ in range(5))
+        cs = np.empty(n, dtype=complex)
+        tmp = np.empty(n, dtype=complex)
+        y_ps, ys_ps = (y[:n], y[n:]), (ys[:n], ys[n:])
+
+        def rhs(p_s, k, e, w):
+            """Write dy/dtau at state ``p_s`` into ``k``; return the exit-face
+            field and the decay rate 2 damping sum|P|^2 dz."""
+            p, s = p_s
+            kp, ks = k[:n], k[n:]
+            np.add.accumulate(p, out=cs)
+            e_end = e + 1j * sqrt_d * (cs[-1] * dz)
+            np.multiply(p, alpha, out=kp)
+            np.multiply(cs, beta, out=cs)
+            kp -= cs
+            kp += 1j * sqrt_d * e
+            np.multiply(s, 1j * w, out=tmp)
+            kp += tmp
+            np.multiply(p, 1j * w.conjugate(), out=ks)
+            return e_end, dec_rate * np.vdot(p, p).real
+
         acc_in = acc_leak = acc_dec = 0.0
-        n0 = self.dz * float(np.sum(np.abs(p) ** 2 + np.abs(s) ** 2))
+        n0 = dz * float(np.vdot(y, y).real)
         out = np.empty(n_steps + 1, dtype=complex) if record_output else None
-        if record_output:
-            out[0] = self.field_profile(p, e_in_half[0])[1]
+        e_half = np.asarray(e_in_half, dtype=complex).tolist()
+        w_half = np.asarray(om_half, dtype=complex).tolist()
         check_every = 64
-        tau = t0
         steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,)).tolist()
         for k, dt in enumerate(steps):
-            e0, e1, e2 = e_in_half[2 * k], e_in_half[2 * k + 1], e_in_half[2 * k + 2]
-            w0, w1, w2 = om_half[2 * k], om_half[2 * k + 1], om_half[2 * k + 2]
-            k1 = self._rhs(p, s, e0, w0)
-            k2 = self._rhs(p + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1], e1, w1)
-            k3 = self._rhs(p + 0.5 * dt * k2[0], s + 0.5 * dt * k2[1], e1, w1)
-            k4 = self._rhs(p + dt * k3[0], s + dt * k3[1], e2, w2)
-            p = p + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            s = s + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            acc_in += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            acc_leak += (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-            acc_dec += (dt / 6.0) * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
-            tau += dt
+            e0, e1, e2 = e_half[2 * k], e_half[2 * k + 1], e_half[2 * k + 2]
+            w0, w1, w2 = w_half[2 * k], w_half[2 * k + 1], w_half[2 * k + 2]
+            f1, d1 = rhs(y_ps, k1, e0, w0)
+            np.multiply(k1, 0.5 * dt, out=ys)
+            ys += y
+            f2, d2 = rhs(ys_ps, k2, e1, w1)
+            np.multiply(k2, 0.5 * dt, out=ys)
+            ys += y
+            f3, d3 = rhs(ys_ps, k3, e1, w1)
+            np.multiply(k3, dt, out=ys)
+            ys += y
+            f4, d4 = rhs(ys_ps, k4, e2, w2)
+            np.add(k2, k3, out=acc)
+            acc *= 2.0
+            acc += k1
+            acc += k4
+            acc *= dt / 6.0
+            y += acc
+            acc_in += (dt / 6.0) * (abs(e0) ** 2 + 2.0 * abs(e1) ** 2 + 2.0 * abs(e1) ** 2
+                                    + abs(e2) ** 2)
+            acc_leak += (dt / 6.0) * (abs(f1) ** 2 + 2.0 * abs(f2) ** 2 + 2.0 * abs(f3) ** 2
+                                      + abs(f4) ** 2)
+            acc_dec += (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
             if record_output:
-                out[k + 1] = self.field_profile(p, e2)[1]
+                # the first stage of a step sees the state and drive of the
+                # previous step's end, so its exit-face field is that output
+                out[k] = f1
             if (k + 1) % check_every == 0 or k == n_steps - 1:
-                n_now = self.dz * float(np.sum(np.abs(p) ** 2 + np.abs(s) ** 2))
+                n_now = dz * float(np.vdot(y, y).real)
                 if not np.isfinite(n_now):
+                    tau = t0 + math.fsum(steps[: k + 1])
                     raise InstabilityError(
                         f"non-finite state at tau={tau:.3f}; reduce dtau"
                     )
@@ -238,6 +286,9 @@ class _Integrator:
                     raise InstabilityError(
                         "excitation grew beyond the injected energy; reduce dtau"
                     )
+        p, s = y_ps
+        if record_output:
+            out[n_steps] = self.field_profile(p, e_half[2 * n_steps])[1]
         return p, s, out, acc_in, acc_leak, acc_dec, n0
 
 
@@ -304,9 +355,9 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
     leak = dec = 0.0
     t = t_start
     dt = min(dt_cap, 0.5 / math.sqrt(1.0 + integ.params.delta**2), 2.0 / (1.0 + 0.7 * integ.params.d))
+    n_steps = max(2, int(round(5.0 / dt)))
+    e_half = np.zeros(2 * n_steps + 1, dtype=complex)
     while dz * float(np.sum(np.abs(p) ** 2)) > RING_DOWN_P_TOL and t - t_start < RING_DOWN_MAX_TIME:
-        n_steps = max(2, int(round(5.0 / dt)))
-        e_half = np.zeros(2 * n_steps + 1, dtype=complex)
         p, s, _, _, dl, dd, _ = integ.run(
             p, s, t, dt, n_steps, e_half, e_half, record_output=False
         )

@@ -172,6 +172,12 @@ class TestCommands:
         effs = trace["results"]["efficiencies"]
         assert all(b >= a - 1e-6 for a, b in zip(effs, effs[1:]))
 
+    def test_simulate_default_depth_is_one(self, tmp_path):
+        out = tmp_path / "d1"
+        assert main(["simulate", "--out", str(out)]) == 0
+        summary = json.loads((out / "simulate_summary.json").read_text())
+        assert summary["params"]["d"] == 1.0
+
 
 class TestExitCodes:
     def test_config_error_is_one(self, tmp_path):
@@ -198,6 +204,14 @@ class TestExitCodes:
         rc = main(["optimal-spinwave", "--config", str(cfg), "--d", "10000",
                    "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "iterate"])
+    def test_depth_list_is_one(self, tmp_path, command, capsys):
+        # both commands model a single medium; extra depths are refused, not dropped
+        out = tmp_path / "x"
+        assert main([command, "--d", "1,10", "--out", str(out)]) == 1
+        assert "'d'" in capsys.readouterr().err
+        assert not any(out.glob("*_summary.json"))
 
     def test_failed_sweep_point_is_two(self, tmp_path, monkeypatch):
         real_point = cli._curve_point

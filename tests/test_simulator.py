@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,132 @@ class TestClosedFormAgreement:
         cf = retrieve_fast(s_u, d, grid)
         err = np.sqrt(np.trapezoid(np.abs(cf.samples - out) ** 2, dx=dt))
         assert err < 1e-3
+
+
+class _ReferenceIntegrator:
+    """Stage-by-stage RK4 that rebuilds the field profile at every stage.
+
+    Kept as the oracle for the fused ``_Integrator.run``: same scheme, one
+    right-hand side call per stage, every array a fresh temporary.
+    """
+
+    def __init__(self, params: MediumParams, n_zeta: int, damping: float = 1.0):
+        self.params = params
+        self.grid = SpaceGrid.uniform_midpoint(n_zeta)
+        self.dz = 1.0 / n_zeta
+        self.sqrt_d = math.sqrt(params.d)
+        self.damping = damping
+        self.decay_coeff = -(damping + 1j * params.delta)
+
+    def field_profile(self, p: np.ndarray, e_in: complex):
+        """Cell-center field values and the exit-face value for given P."""
+        cs = np.cumsum(p) * self.dz
+        e_end = e_in + 1j * self.sqrt_d * cs[-1]
+        e_centers = e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
+        return e_centers, e_end
+
+    def _rhs(self, p, s, e_in, om):
+        e_centers, e_end = self.field_profile(p, e_in)
+        dp = self.decay_coeff * p + 1j * self.sqrt_d * e_centers + 1j * om * s
+        ds = 1j * np.conj(om) * p
+        dleak = abs(e_end) ** 2
+        ddec = 2.0 * self.damping * self.dz * float(np.sum(np.abs(p) ** 2))
+        din = abs(e_in) ** 2
+        return dp, ds, din, dleak, ddec
+
+    def run(self, p0, s0, t0, dt, n_steps, e_in_half, om_half, record_output=True):
+        """March n_steps of RK4; half-grid arrays hold the drive at stage times.
+
+        ``dt`` is one step size for all steps or an array of per-step sizes.
+        """
+        p = np.array(p0, dtype=complex)
+        s = np.array(s0, dtype=complex)
+        acc_in = acc_leak = acc_dec = 0.0
+        n0 = self.dz * float(np.sum(np.abs(p) ** 2 + np.abs(s) ** 2))
+        out = np.empty(n_steps + 1, dtype=complex) if record_output else None
+        if record_output:
+            out[0] = self.field_profile(p, e_in_half[0])[1]
+        check_every = 64
+        tau = t0
+        steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,)).tolist()
+        for k, dt in enumerate(steps):
+            e0, e1, e2 = e_in_half[2 * k], e_in_half[2 * k + 1], e_in_half[2 * k + 2]
+            w0, w1, w2 = om_half[2 * k], om_half[2 * k + 1], om_half[2 * k + 2]
+            k1 = self._rhs(p, s, e0, w0)
+            k2 = self._rhs(p + 0.5 * dt * k1[0], s + 0.5 * dt * k1[1], e1, w1)
+            k3 = self._rhs(p + 0.5 * dt * k2[0], s + 0.5 * dt * k2[1], e1, w1)
+            k4 = self._rhs(p + dt * k3[0], s + dt * k3[1], e2, w2)
+            p = p + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            s = s + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            acc_in += (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            acc_leak += (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
+            acc_dec += (dt / 6.0) * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+            tau += dt
+            if record_output:
+                out[k + 1] = self.field_profile(p, e2)[1]
+            if (k + 1) % check_every == 0 or k == n_steps - 1:
+                n_now = self.dz * float(np.sum(np.abs(p) ** 2 + np.abs(s) ** 2))
+                if not np.isfinite(n_now):
+                    raise InstabilityError(
+                        f"non-finite state at tau={tau:.3f}; reduce dtau"
+                    )
+                # leaked/decayed energy never returns, so the excitation still
+                # in the medium can only exceed the injected budget through
+                # numerical blow-up
+                if self.damping >= 1.0 and n_now > n0 + acc_in + 1e-6:
+                    raise InstabilityError(
+                        "excitation grew beyond the injected energy; reduce dtau"
+                    )
+        return p, s, out, acc_in, acc_leak, acc_dec, n0
+
+
+# Fixed before the comparison was first run: the fused step regroups the
+# same sums, so the two integrators differ only by rounding, which over a
+# few hundred stable steps stays orders of magnitude below this.
+FUSED_REL_TOL = 1e-12
+
+
+def _max_abs(x):
+    return float(np.max(np.abs(x)))
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize("n_zeta", [64, 512])
+    @pytest.mark.parametrize("damping", [1.0, 0.0])
+    @pytest.mark.parametrize("delta", [0.0, 30.0])
+    @pytest.mark.parametrize("per_step_dt", [False, True])
+    @pytest.mark.parametrize("record_output", [True, False])
+    def test_matches_stage_by_stage_reference(
+        self, n_zeta, damping, delta, per_step_dt, record_output
+    ):
+        params = MediumParams(d=10.0, delta=delta)
+        rng = np.random.default_rng(n_zeta + int(delta))
+        n_steps = 150
+        p0 = 0.3 * (rng.normal(size=n_zeta) + 1j * rng.normal(size=n_zeta))
+        s0 = rng.normal(size=n_zeta) + 1j * rng.normal(size=n_zeta)
+        t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+        e_half = (0.8 + 0.3j) * np.sin(3.0 * t) + 0.2j
+        om_half = (1.5 - 0.7j) * np.exp(-t) + 0.4
+        dt = rng.uniform(0.005, 0.015, n_steps) if per_step_dt else 0.01
+        args = (p0, s0, 0.5, dt, n_steps, e_half, om_half, record_output)
+        fused = _Integrator(params, n_zeta, damping=damping).run(*args)
+        ref = _ReferenceIntegrator(params, n_zeta, damping=damping).run(*args)
+        names = ("p", "s", "out", "acc_in", "acc_leak", "acc_dec", "n0")
+        for name, a, b in zip(names, fused, ref):
+            if b is None:
+                assert a is None, name
+                continue
+            assert np.shape(a) == np.shape(b), name
+            assert _max_abs(np.subtract(a, b)) <= FUSED_REL_TOL * _max_abs(b), name
+
+    def test_growth_guard_trips_on_oversized_step(self):
+        # |delta| dt = 5 is far outside RK4's stability region, yet the
+        # state stays finite over the first 64 steps, so the growth check
+        # (not the non-finite one) must stop the run
+        integ = _Integrator(MediumParams(d=5.0, delta=100.0), 64)
+        rng = np.random.default_rng(5)
+        p0 = rng.normal(size=64) + 1j * rng.normal(size=64)
+        n_steps = 200
+        zeros = np.zeros(2 * n_steps + 1, dtype=complex)
+        with pytest.raises(InstabilityError, match="excitation grew beyond the injected energy"):
+            integ.run(p0, p0, 0.0, 0.05, n_steps, zeros, zeros, record_output=False)
