@@ -24,6 +24,7 @@ from .core import (
     SpinWave,
     TimeGrid,
     flip,
+    make_reference_input,
     mode_norm2,
     nondimensionalize_doc,
     normalized_mode,
@@ -66,7 +67,8 @@ from .optimizer import (
     iterate_retrieval,
     optimize_storage_retrieval,
 )
-from .cli import make_reference_input
+# bound so ``import photonmem`` alone reaches ``photonmem.cli.main``
+from . import cli
 
 __all__ = [
     "__version__",

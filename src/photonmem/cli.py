@@ -31,13 +31,13 @@ import numpy as np
 from . import __version__
 from .core import (
     ControlField,
-    FieldMode,
     MediumParams,
     PhotonMemError,
     SpaceGrid,
     SpinWave,
     TimeGrid,
     flip,
+    make_reference_input,
 )
 
 __all__ = ["ConfigError", "RunConfig", "make_reference_input", "main"]
@@ -138,24 +138,6 @@ def parse_config_file(path: Path) -> dict:
         key, _, value = stripped.partition("=")
         values[key.strip()] = value.strip()
     return values
-
-
-def make_reference_input(T: float, grid: TimeGrid | None = None) -> FieldMode:
-    """Gaussian-like input mode on [0, T], vanishing exactly at the ends.
-
-    A Gaussian centered at T/2 with standard deviation 0.15 T, shifted down
-    by its boundary value so the endpoints are exactly zero, then normalized
-    to unit energy.  Symmetric about T/2 by construction.
-    """
-    if T <= 0:
-        raise ValueError("duration must be positive")
-    if grid is None:
-        grid = TimeGrid.linspace(0.0, T, 2001)
-    t = grid.times - grid.tau0
-    g = np.exp(-((t - 0.5 * T) ** 2) / (2.0 * (0.15 * T) ** 2))
-    g = np.clip(g - g[0], 0.0, None)
-    g /= np.sqrt(np.trapezoid(g**2, dx=grid.dtau))
-    return FieldMode(grid=grid, samples=g.astype(complex))
 
 
 def _fmt(x: float) -> str:

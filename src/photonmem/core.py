@@ -36,6 +36,7 @@ __all__ = [
     "mode_l2_distance",
     "spinwave_l2_distance",
     "resample_spinwave",
+    "make_reference_input",
     "nondimensionalize_doc",
 ]
 
@@ -328,6 +329,35 @@ def resample_spinwave(s: SpinWave, grid: SpaceGrid) -> SpinWave:
         spline = CubicSpline(s.grid.nodes, s.samples, bc_type="natural")
         vals = spline(grid.nodes)
     return SpinWave(grid=grid, samples=vals)
+
+
+def _resample_waveform(wf: FieldMode | ControlField, times: np.ndarray) -> np.ndarray:
+    """Cubic-spline values of a sampled waveform at ``times``, zero outside
+    its window (up to a 1e-12 margin at either end)."""
+    from scipy.interpolate import CubicSpline
+
+    g = wf.grid
+    vals = np.asarray(CubicSpline(g.times, wf.samples)(times), dtype=complex)
+    vals[(times < g.tau0 - 1e-12) | (times > g.t_end + 1e-12)] = 0.0
+    return vals
+
+
+def make_reference_input(T: float, grid: TimeGrid | None = None) -> FieldMode:
+    """Gaussian-like input mode on [0, T], vanishing exactly at the ends.
+
+    A Gaussian centered at T/2 with standard deviation 0.15 T, shifted down
+    by its boundary value so the endpoints are exactly zero, then normalized
+    to unit energy.  Symmetric about T/2 by construction.
+    """
+    if T <= 0:
+        raise ValueError("duration must be positive")
+    if grid is None:
+        grid = TimeGrid.linspace(0.0, T, 2001)
+    t = grid.times - grid.tau0
+    g = np.exp(-((t - 0.5 * T) ** 2) / (2.0 * (0.15 * T) ** 2))
+    g = np.clip(g - g[0], 0.0, None)
+    g /= np.sqrt(np.trapezoid(g**2, dx=grid.dtau))
+    return FieldMode(grid=grid, samples=g.astype(complex))
 
 
 def nondimensionalize_doc() -> str:

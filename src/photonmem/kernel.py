@@ -66,6 +66,15 @@ def kernel_eval(d, zeta, zeta_p):
     return out
 
 
+def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(w_i) k(z_i, z_j) sqrt(w_j), the Nystrom matrix made symmetric by a
+    similarity transform, and sqrt(w)."""
+    z = grid.nodes
+    k = kernel_eval(d, z[:, None], z[None, :])
+    sw = np.sqrt(grid.weights)
+    return sw[:, None] * k * sw[None, :], sw
+
+
 def _check_resolved(eta: float, d: float, grid: SpaceGrid) -> None:
     """Reject a dominant eigenvalue above 1, which no spin wave can reach.
 
@@ -195,10 +204,8 @@ def dense_max_eigenpair(d: float, grid: SpaceGrid | None = None) -> tuple[SpinWa
 
     if grid is None:
         grid = SpaceGrid.gauss_legendre(DEFAULT_NODES)
-    z, w = grid.nodes, grid.weights
-    k = kernel_eval(d, z[:, None], z[None, :])
-    sw = np.sqrt(w)
-    sym = sw[:, None] * k * sw[None, :]
+    w = grid.weights
+    sym, sw = _sqrt_weight_kernel(d, grid)
     vals, vecs = eigh(sym)
     eta = float(vals[-1])
     _check_resolved(eta, d, grid)

@@ -31,13 +31,14 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _resample_waveform,
     flip,
     mode_norm2,
     normalized_spinwave,
     resample_spinwave,
     time_reverse,
 )
-from .kernel import kernel_eval, retrieval_efficiency
+from .kernel import _sqrt_weight_kernel, retrieval_efficiency
 
 __all__ = [
     "IterationTrace",
@@ -86,15 +87,46 @@ def completing_control(
     return ControlField(grid=grid, samples=np.full(n, omega, dtype=complex))
 
 
+def _trapezoid_weights(g: TimeGrid) -> np.ndarray:
+    w = np.full(g.n, g.dtau)
+    w[0] = w[-1] = 0.5 * g.dtau
+    return w
+
+
 def _reversed_control_on(ctrl: ControlField, grid: TimeGrid) -> ControlField:
     """conj(omega(T - tau)) resampled onto the given grid."""
-    from scipy.interpolate import CubicSpline
-
     g = ctrl.grid
-    spline = CubicSpline(g.times, ctrl.samples)
     t = g.tau0 + g.t_end - (grid.times - grid.tau0 + g.tau0)
-    t = np.clip(t, g.tau0, g.t_end)
-    return ControlField(grid=grid, samples=np.conj(spline(t)))
+    return ControlField(grid=grid, samples=np.conj(_resample_waveform(ctrl, t)))
+
+
+def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
+    """Iterate trial -> output -> time-reversed output until the trial settles.
+
+    ``run(x)`` returns the efficiency and output of the unit-norm (in
+    ``weights``) trial ``x``; ``reverse(out, eta)`` makes the next trial from
+    that output.  Converged when the efficiency moves by less than ``tol`` and
+    the trial by less than ``mode_tol``.  A trial whose efficiency is not
+    finite and positive has nothing to reverse and raises ``ValueError``.
+    Returns the efficiencies, the last trial, the count and convergence.
+    """
+    efficiencies: list[float] = []
+    x = x0
+    for it in range(1, max_iter + 1):
+        eta, out = run(x)
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise ValueError(
+                f"trial {it} has efficiency {eta!r}; the control retrieves nothing"
+            )
+        efficiencies.append(eta)
+        nxt = reverse(out, eta)
+        nxt = nxt / math.sqrt(float(weights @ np.abs(nxt) ** 2))
+        move = math.sqrt(float(weights @ np.abs(nxt - x) ** 2))
+        d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
+        x = nxt
+        if move < mode_tol and d_eta < tol:
+            return efficiencies, x, it, True
+    return efficiencies, x, max_iter, False
 
 
 def iterate_retrieval(
@@ -117,7 +149,8 @@ def iterate_retrieval(
     Efficiency is read off as the output energy of each (normalized) trial;
     convergence requires the efficiency change below ``tol`` and the mode
     movement below ``mode_tol`` (default sqrt(tol)).  Non-convergence is
-    reported in the trace, not raised.
+    reported in the trace, not raised; a trial that retrieves nothing
+    raises ``ValueError``.
     """
     if method not in ("adiabatic", "simulate"):
         raise ValueError(f"unknown method {method!r}")
@@ -127,75 +160,46 @@ def iterate_retrieval(
 
     if method == "adiabatic":
         sigma, _ = normalized_spinwave(init)
-        grid = sigma.grid
-        fwd = retrieval_matrix(ctrl, params, grid)
-        rev = storage_matrix(_reversed_control_on(ctrl, ctrl.grid), params, grid)
-        dt = ctrl.grid.dtau
-        tw = np.full(ctrl.grid.n, dt)
-        tw[0] = tw[-1] = 0.5 * dt
+        fwd = retrieval_matrix(ctrl, params, sigma.grid)
+        rev = storage_matrix(_reversed_control_on(ctrl, ctrl.grid), params, sigma.grid)
+        tw = _trapezoid_weights(ctrl.grid)
 
-        def step(samples):
+        def run(samples):
             e = fwd @ samples
-            eta = float(tw @ np.abs(e) ** 2)
-            m = np.conj(e[::-1]) / math.sqrt(eta)
-            stored = rev @ m
-            return eta, stored[::-1]  # flip back into the retrieval frame
+            return float(tw @ np.abs(e) ** 2), e
 
-        w = grid.weights
-        cur = sigma.samples
-        efficiencies: list[float] = []
-        for it in range(1, max_iter + 1):
-            eta, nxt = step(cur)
-            efficiencies.append(eta)
-            nxt = nxt / math.sqrt(float(w @ np.abs(nxt) ** 2))
-            move = math.sqrt(float(w @ np.abs(nxt - cur) ** 2))
-            d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
-            cur = nxt
-            if move < mode_tol and d_eta < tol:
-                return IterationTrace(
-                    efficiencies=efficiencies,
-                    final_mode=SpinWave(grid=grid, samples=cur),
-                    iterations=it,
-                    converged=True,
-                )
-        return IterationTrace(
-            efficiencies=efficiencies,
-            final_mode=SpinWave(grid=grid, samples=cur),
-            iterations=max_iter,
-            converged=False,
+        def reverse(e, eta):
+            stored = rev @ (np.conj(e[::-1]) / math.sqrt(eta))
+            return stored[::-1]  # flip back into the retrieval frame
+
+    else:
+        from .simulator import simulate_retrieval, simulate_storage
+
+        sigma, _ = normalized_spinwave(
+            resample_spinwave(init, SpaceGrid.uniform_midpoint(n_zeta))
         )
 
-    from .simulator import simulate_retrieval, simulate_storage
+        def run(samples):
+            e = simulate_retrieval(
+                flip(SpinWave(grid=sigma.grid, samples=samples)), ctrl, params,
+                direction="backward", n_zeta=n_zeta,
+            ).output_mode
+            return mode_norm2(e), e
 
-    sim_grid = SpaceGrid.uniform_midpoint(n_zeta)
-    sigma, _ = normalized_spinwave(resample_spinwave(init, sim_grid))
-    cur = sigma
-    efficiencies = []
-    for it in range(1, max_iter + 1):
-        rr = simulate_retrieval(
-            flip(cur), ctrl, params, direction="backward", n_zeta=n_zeta
-        )
-        e = rr.output_mode
-        eta = mode_norm2(e)
-        efficiencies.append(eta)
-        m = time_reverse(e)
-        m = FieldMode(grid=m.grid, samples=m.samples / math.sqrt(eta))
-        ctrl_rev = _reversed_control_on(ctrl, m.grid)
-        st = simulate_storage(m, ctrl_rev, params, n_zeta=n_zeta)
-        nxt, _ = normalized_spinwave(
-            flip(SpinWave(grid=sim_grid, samples=st.final_state.S))
-        )
-        move = math.sqrt(
-            float(sim_grid.weights @ np.abs(nxt.samples - cur.samples) ** 2)
-        )
-        d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
-        cur = nxt
-        if move < mode_tol and d_eta < tol:
-            return IterationTrace(
-                efficiencies=efficiencies, final_mode=cur, iterations=it, converged=True
-            )
+        def reverse(e, eta):
+            m = time_reverse(e)
+            m = FieldMode(grid=m.grid, samples=m.samples / math.sqrt(eta))
+            st = simulate_storage(m, _reversed_control_on(ctrl, m.grid), params, n_zeta=n_zeta)
+            return st.final_state.S[::-1]  # flip back into the retrieval frame
+
+    efficiencies, x, iterations, converged = _time_reversal_loop(
+        run, reverse, sigma.samples, sigma.grid.weights, tol, mode_tol, max_iter
+    )
     return IterationTrace(
-        efficiencies=efficiencies, final_mode=cur, iterations=max_iter, converged=False
+        efficiencies=efficiencies,
+        final_mode=SpinWave(grid=sigma.grid, samples=x),
+        iterations=iterations,
+        converged=converged,
     )
 
 
@@ -212,10 +216,7 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
 
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
-    z, w = grid.nodes, grid.weights
-    k = kernel_eval(d, z[:, None], z[None, :])
-    sw = np.sqrt(w)
-    b = sw[:, None] * k * sw[None, :]
+    b, _ = _sqrt_weight_kernel(d, grid)
     vals, vecs = eigh(b)
     b_half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
     b_flip = b[::-1, ::-1]
@@ -265,39 +266,19 @@ def optimize_storage_retrieval(
     ctrl = completing_control(params)
     fwd_store = storage_matrix(ctrl, params, grid)
     fwd_retr = retrieval_matrix(ctrl, params, grid)
-    n_t = ctrl.grid.n
-    dt = ctrl.grid.dtau
-    tw = np.full(n_t, dt)
-    tw[0] = tw[-1] = 0.5 * dt
-
-    from scipy.interpolate import CubicSpline
-
-    g_in = input_mode.grid
-    spline = CubicSpline(g_in.times, input_mode.samples)
-    u = np.asarray(spline(np.clip(ctrl.grid.times, g_in.tau0, g_in.t_end)), dtype=complex)
-    u[(ctrl.grid.times < g_in.tau0) | (ctrl.grid.times > g_in.t_end)] = 0.0
+    tw = _trapezoid_weights(ctrl.grid)
+    u = _resample_waveform(input_mode, ctrl.grid.times)
     nrm = math.sqrt(float(tw @ np.abs(u) ** 2))
     if nrm <= 0:
         raise ValueError("input mode vanishes on the iteration window")
-    u = u / nrm
 
-    efficiencies = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        sigma = fwd_store @ u  # stored wave, storage frame
-        e = fwd_retr @ sigma  # forward retrieval: no flip
-        eta = float(tw @ np.abs(e) ** 2)
-        efficiencies.append(eta)
-        nxt = np.conj(e[::-1])
-        nxt = nxt / math.sqrt(float(tw @ np.abs(nxt) ** 2))
-        move = math.sqrt(float(tw @ np.abs(nxt - u) ** 2))
-        d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
-        u = nxt
-        if move < math.sqrt(tol) and d_eta < tol:
-            converged = True
-            break
+    def run(x):
+        e = fwd_retr @ (fwd_store @ x)  # store, then retrieve forward: no flip
+        return float(tw @ np.abs(e) ** 2), e
+
+    efficiencies, u, iterations, converged = _time_reversal_loop(
+        run, lambda e, eta: np.conj(e[::-1]), u / nrm, tw, tol, math.sqrt(tol), max_iter
+    )
     final = FieldMode(grid=ctrl.grid, samples=u)
     trace = IterationTrace(
         efficiencies=efficiencies, final_mode=final, iterations=iterations, converged=converged

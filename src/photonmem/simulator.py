@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
 
 import numpy as np
 
@@ -56,6 +55,8 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _resample_waveform,
+    flip,
     resample_spinwave,
 )
 
@@ -70,7 +71,7 @@ __all__ = [
     "energy_audit",
 ]
 
-Waveform = Union[FieldMode, ControlField, Callable[[np.ndarray], np.ndarray], None]
+Waveform = FieldMode | ControlField | None
 
 DEFAULT_N_ZETA = 256
 DEFECT_TOL = 1e-4
@@ -122,25 +123,10 @@ class AuditReport:
 
 
 def _waveform_on(times: np.ndarray, wf: Waveform) -> np.ndarray:
-    """Evaluate an input/control specification on the given times.
-
-    Sampled waveforms are cubic-spline interpolated inside their window and
-    zero outside; callables are evaluated directly and must be vectorized.
-    """
+    """Input or control values at the given times; ``None`` is switched off."""
     if wf is None:
         return np.zeros(times.size, dtype=complex)
-    if isinstance(wf, (FieldMode, ControlField)):
-        from scipy.interpolate import CubicSpline
-
-        g = wf.grid
-        spline = CubicSpline(g.times, wf.samples)
-        vals = np.asarray(spline(times), dtype=complex)
-        vals[(times < g.tau0 - 1e-12) | (times > g.t_end + 1e-12)] = 0.0
-        return vals
-    vals = np.asarray(wf(times), dtype=complex)
-    if vals.shape != times.shape:
-        raise ValueError("callable waveform must return one value per time")
-    return vals
+    return _resample_waveform(wf, times)
 
 
 def default_dtau(
@@ -367,13 +353,71 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
     return p, s, leak, dec, t - t_start
 
 
-def _make_result(
-    integ, p, s, output_mode, denom, stored, leaked, decayed, residual_p,
-    acc_in, n0, dtau, n_steps, dtau_min, refinements, kind, ring_time,
+def _ring_down_finish(integ: _Integrator, p, s, t_end: float, refinements: int):
+    return _ring_down(integ, p, s, t_end, dt_cap=0.02 / 2**refinements)
+
+
+def _swap_finish(integ: _Integrator, p, s, t_end: float, refinements: int):
+    """The ideal instantaneous swap pulse, :func:`photonmem.fast.pi_pulse`."""
+    e = integ.field_profile(p, 0.0)[0]
+    state = _fast.pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
+    return state.P, state.S, 0.0, 0.0, 0.0
+
+
+def _simulate(
+    kind: str,
+    params: MediumParams,
+    n_zeta: int,
+    s_init: SpinWave | None,
+    window: tuple[float, float],
+    input_mode: FieldMode | None,
+    ctrl: Waveform,
+    finish,
+    dtau: float | None,
+    max_refinements: int,
 ) -> SimulationResult:
-    defect = (stored + residual_p + leaked + decayed) - (n0 + acc_in)
-    scale = denom if denom > 0 else 1.0
+    """Run, audit and retry one simulation; the entry points only set it up.
+
+    Integrates over ``window`` from P = 0 and S = ``s_init`` (``None``:
+    empty), then applies ``finish(integ, p, s, t_end, refinements) -> (p, s,
+    leaked, decayed, ring_time)`` if given.  While the balance defect exceeds
+    ``DEFECT_TOL``, reruns with the coarse step and substep bound halved, at
+    most ``max_refinements`` times.  Fractions are of the injected energy
+    (``kind="storage"``) or of the initial excitation (``"retrieval"``).
+    """
+    if n_zeta < 64:
+        raise ValueError("n_zeta must be at least 64")
+    integ = _Integrator(params, n_zeta)
+    p0 = np.zeros(n_zeta, dtype=complex)
+    s0 = p0 if s_init is None else resample_spinwave(s_init, integ.grid).samples
+    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, input_mode)
+    refinements = 0
+    while True:
+        try:
+            p, s, out_mode, acc_in, leaked, decayed, n0, dt, n_steps, dt_min = _run_window(
+                integ, p0, s0, window, dt0, input_mode, ctrl,
+                substep_scale=None if dtau is not None else 0.5**refinements,
+            )
+            ring_time = 0.0
+            if finish is not None:
+                p, s, rl, rd, ring_time = finish(integ, p, s, window[1], refinements)
+                leaked += rl
+                decayed += rd
+            stored = integ.dz * float(np.sum(np.abs(s) ** 2))
+            residual_p = integ.dz * float(np.sum(np.abs(p) ** 2))
+            defect = (stored + residual_p + leaked + decayed) - (n0 + acc_in)
+            if abs(defect) > DEFECT_TOL:
+                raise InstabilityError(
+                    f"balance defect {defect:.2e} above tolerance; reduce dtau"
+                )
+            break
+        except InstabilityError:
+            if refinements >= max_refinements:
+                raise
+            refinements += 1
+            dt0 /= 2.0
     if kind == "storage":
+        scale = acc_in if acc_in > 0 else 1.0
         br = EfficiencyBreakdown(
             eta_storage=stored / scale,
             eta_total=stored / scale,
@@ -382,6 +426,7 @@ def _make_result(
             residual_fraction=residual_p / scale,
         )
     else:
+        scale = n0 if n0 > 0 else 1.0
         br = EfficiencyBreakdown(
             eta_retrieval=leaked / scale,
             eta_total=leaked / scale,
@@ -389,17 +434,16 @@ def _make_result(
             decay_fraction=decayed / scale,
             residual_fraction=(stored + residual_p) / scale,
         )
-    e_centers, _ = integ.field_profile(p, 0.0)
     state = EnsembleState(
-        grid=integ.grid, E=e_centers, P=p, S=s,
-        tau=output_mode.grid.t_end + ring_time,
+        grid=integ.grid, E=integ.field_profile(p, 0.0)[0], P=p, S=s,
+        tau=out_mode.grid.t_end + ring_time,
     )
     diagnostics = {
         "kind": kind,
-        "dtau": dtau,
+        "dtau": dt,
         "n_steps": n_steps,
-        "dtau_min": dtau_min,
-        "n_zeta": integ.grid.n,
+        "dtau_min": dt_min,
+        "n_zeta": n_zeta,
         "refinements": refinements,
         "defect": defect,
         "input_norm2": acc_in,
@@ -411,7 +455,7 @@ def _make_result(
         "ring_down_time": ring_time,
     }
     return SimulationResult(
-        final_state=state, output_mode=output_mode, breakdown=br, diagnostics=diagnostics
+        final_state=state, output_mode=out_mode, breakdown=br, diagnostics=diagnostics
     )
 
 
@@ -432,108 +476,37 @@ def simulate_storage(
     substep bound alike) is halved automatically until the energy-balance
     defect is below tolerance.
     """
-    if n_zeta < 64:
-        raise ValueError("n_zeta must be at least 64")
-    window = (input_mode.grid.tau0, input_mode.grid.t_end)
-    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, input_mode)
-    refinements = 0
-    while True:
-        integ = _Integrator(params, n_zeta)
-        try:
-            p0 = np.zeros(n_zeta, dtype=complex)
-            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
-                integ, p0, p0, window, dt0, input_mode, ctrl,
-                substep_scale=None if dtau is not None else 0.5**refinements,
-            )
-            ring_time = 0.0
-            if ring_down:
-                p, s, rl, rd, ring_time = _ring_down(
-                    integ, p, s, window[1], dt_cap=0.02 / 2**refinements
-                )
-                leak += rl
-                dec += rd
-            stored = integ.dz * float(np.sum(np.abs(s) ** 2))
-            residual_p = integ.dz * float(np.sum(np.abs(p) ** 2))
-            defect = (stored + residual_p + leak + dec) - (n0 + acc_in)
-            if abs(defect) > DEFECT_TOL:
-                raise InstabilityError(
-                    f"balance defect {defect:.2e} above tolerance; reduce dtau"
-                )
-        except InstabilityError:
-            if refinements >= max_refinements:
-                raise
-            refinements += 1
-            dt0 /= 2.0
-            continue
-        return _make_result(
-            integ, p, s, out_mode, acc_in, stored, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, dt_min, refinements, "storage", ring_time,
-        )
+    return _simulate(
+        "storage", params, n_zeta, None, (input_mode.grid.tau0, input_mode.grid.t_end),
+        input_mode, ctrl, _ring_down_finish if ring_down else None, dtau, max_refinements,
+    )
 
 
 def simulate_retrieval(
     s: SpinWave,
-    ctrl: Waveform,
+    ctrl: ControlField,
     params: MediumParams,
     direction: str = "backward",
     n_zeta: int = DEFAULT_N_ZETA,
     dtau: float | None = None,
     max_refinements: int = 3,
     ring_down: bool = True,
-    window: tuple[float, float] | None = None,
 ) -> SimulationResult:
     """Retrieve a stored spin wave onto the output field.
 
     ``s`` is given in the storage frame; ``direction="backward"`` flips it
     into the retrieval propagation frame internally, ``"forward"`` uses it as
-    is.  The integration window defaults to the control's grid span.
+    is.  The integration window is the control's grid span.
     """
-    from .core import flip as _flip
-
     if direction not in ("backward", "forward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if window is None:
-        if isinstance(ctrl, ControlField):
-            window = (ctrl.grid.tau0, ctrl.grid.t_end)
-        else:
-            raise ValueError("window is required when the control is a callable")
-    s_frame = _flip(s) if direction == "backward" else s
-    sim_grid = SpaceGrid.uniform_midpoint(n_zeta)
-    s0 = resample_spinwave(s_frame, sim_grid).samples
-
-    dt0 = dtau if dtau is not None else default_dtau(params, ctrl)
-    refinements = 0
-    while True:
-        integ = _Integrator(params, n_zeta)
-        try:
-            p, s_end, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
-                integ, np.zeros(n_zeta, dtype=complex), s0, window, dt0, None, ctrl,
-                substep_scale=None if dtau is not None else 0.5**refinements,
-            )
-            ring_time = 0.0
-            if ring_down:
-                p, s_end, rl, rd, ring_time = _ring_down(
-                    integ, p, s_end, window[1], dt_cap=0.02 / 2**refinements
-                )
-                leak += rl
-                dec += rd
-            remaining_s = integ.dz * float(np.sum(np.abs(s_end) ** 2))
-            residual_p = integ.dz * float(np.sum(np.abs(p) ** 2))
-            defect = (remaining_s + residual_p + leak + dec) - (n0 + acc_in)
-            if abs(defect) > DEFECT_TOL:
-                raise InstabilityError(
-                    f"balance defect {defect:.2e} above tolerance; reduce dtau"
-                )
-        except InstabilityError:
-            if refinements >= max_refinements:
-                raise
-            refinements += 1
-            dt0 /= 2.0
-            continue
-        return _make_result(
-            integ, p, s_end, out_mode, n0, remaining_s, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, dt_min, refinements, "retrieval", ring_time,
-        )
+    if not isinstance(ctrl, ControlField):
+        raise ValueError("retrieval needs a sampled ControlField; its span is the window")
+    return _simulate(
+        "retrieval", params, n_zeta, flip(s) if direction == "backward" else s,
+        (ctrl.grid.tau0, ctrl.grid.t_end), None, ctrl,
+        _ring_down_finish if ring_down else None, dtau, max_refinements,
+    )
 
 
 def simulate_fast_storage(
@@ -542,54 +515,18 @@ def simulate_fast_storage(
     n_zeta: int = DEFAULT_N_ZETA,
     dtau: float | None = None,
     max_refinements: int = 3,
-    pulse_strength: float | None = None,
 ) -> SimulationResult:
-    """Free absorption of the input followed by a swap pulse at the window end.
+    """Free absorption of the input, then the ideal swap pulse at the window end.
 
-    Requires resonance.  The swap is the ideal instantaneous map by default;
-    passing ``pulse_strength`` simulates a finite pulse of that constant Rabi
-    frequency and quarter-period area instead (for convergence studies).
+    Requires resonance.  For a finite pulse (convergence studies), apply
+    :func:`apply_finite_pi_pulse` to a run's state instead.
     """
     if params.delta != 0.0:
         raise ValueError("fast storage requires resonance (delta = 0)")
-    window = (input_mode.grid.tau0, input_mode.grid.t_end)
-    dt0 = dtau if dtau is not None else default_dtau(params, None, input_mode)
-    refinements = 0
-    while True:
-        integ = _Integrator(params, n_zeta)
-        try:
-            z0 = np.zeros(n_zeta, dtype=complex)
-            p, s, out_mode, acc_in, leak, dec, n0, dt, n_steps, dt_min = _run_window(
-                integ, z0, z0, window, dt0, input_mode, None
-            )
-            state = EnsembleState(
-                grid=integ.grid, E=integ.field_profile(p, 0.0)[0], P=p, S=s, tau=window[1]
-            )
-            if pulse_strength is None:
-                state = _fast.pi_pulse(state)
-            else:
-                state, extra_leak, extra_dec = apply_finite_pi_pulse(
-                    state, params, pulse_strength
-                )
-                leak += extra_leak
-                dec += extra_dec
-            stored = integ.dz * float(np.sum(np.abs(state.S) ** 2))
-            residual_p = integ.dz * float(np.sum(np.abs(state.P) ** 2))
-            defect = (stored + residual_p + leak + dec) - (n0 + acc_in)
-            if abs(defect) > DEFECT_TOL:
-                raise InstabilityError(
-                    f"balance defect {defect:.2e} above tolerance; reduce dtau"
-                )
-        except InstabilityError:
-            if refinements >= max_refinements:
-                raise
-            refinements += 1
-            dt0 /= 2.0
-            continue
-        return _make_result(
-            integ, state.P, state.S, out_mode, acc_in, stored, leak, dec, residual_p,
-            acc_in, n0, dt, n_steps, dt_min, refinements, "storage", 0.0,
-        )
+    return _simulate(
+        "storage", params, n_zeta, None, (input_mode.grid.tau0, input_mode.grid.t_end),
+        input_mode, None, _swap_finish, dtau, max_refinements,
+    )
 
 
 def apply_finite_pi_pulse(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from photonmem import (
+    ControlField,
     MediumParams,
     SpinWave,
+    TimeGrid,
     flip,
     forward_max_efficiency,
     iterate_retrieval,
@@ -77,6 +79,13 @@ class TestIterateRetrieval:
             np.dot(uniform_grid.weights, np.abs(trace.final_mode.samples - ref.samples) ** 2)
         )
         assert l2 < 0.02
+
+    @pytest.mark.parametrize("method", ["adiabatic", "simulate"])
+    def test_control_that_retrieves_nothing_raises(self, gauss_grid, method):
+        off = ControlField(grid=TimeGrid.linspace(0.0, 5.0, 501), samples=np.zeros(501))
+        init = SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n))
+        with pytest.raises(ValueError, match="retrieves nothing"):
+            iterate_retrieval(10.0, off, init, method=method)
 
     def test_bad_method_rejected(self, optimal_modes):
         ctrl = completing_control(MediumParams(d=10.0))

@@ -15,6 +15,7 @@ from photonmem import (
     flip,
     make_reference_input,
     mode_norm2,
+    optimal_fast_input,
     optimal_storage_control,
     resample_spinwave,
     retrieval_efficiency,
@@ -103,6 +104,11 @@ class TestRetrievalBasics:
         with pytest.raises(ValueError):
             simulate_retrieval(s, constant_control(1.0, 5.0), params_d10, direction="sideways")
 
+    def test_too_coarse_grid_rejected(self, uniform_grid, params_d10):
+        s = SpinWave(grid=uniform_grid, samples=np.ones(uniform_grid.n))
+        with pytest.raises(ValueError, match="n_zeta"):
+            simulate_retrieval(s, constant_control(1.0, 5.0), params_d10, n_zeta=32)
+
 
 class TestFastStorage:
     def test_zero_input_zero_stored(self, params_d10):
@@ -113,6 +119,11 @@ class TestFastStorage:
     def test_requires_resonance(self, reference_input):
         with pytest.raises(ValueError):
             simulate_fast_storage(reference_input, MediumParams(d=10.0, delta=1.0))
+
+    def test_too_coarse_grid_rejected(self, params_d10):
+        inp = optimal_fast_input(10.0, recommended_fast_grid(10.0)).mode
+        with pytest.raises(ValueError, match="n_zeta"):
+            simulate_fast_storage(inp, params_d10, n_zeta=32)
 
     def test_long_input_stores_poorly(self, optimal_modes):
         from photonmem import optimal_fast_input
@@ -268,6 +279,51 @@ class TestLocalSubsteps:
         zeros = np.zeros(2 * dts.size + 1, dtype=complex)
         with pytest.raises(InstabilityError, match="tau=1.960"):
             integ.run(p0, p0, 1.0, dts, dts.size, zeros, zeros)
+
+
+# Runs whose explicit step 0.2 fails the balance audit before it passes.
+_COARSE_RUNS = {
+    "storage": lambda **kw: simulate_storage(
+        make_reference_input(20.0, TimeGrid.linspace(0.0, 20.0, 2001)),
+        constant_control(1.0, 20.0, 2001), MediumParams(d=30.0, delta=12.0),
+        dtau=0.2, n_zeta=64, **kw,
+    ),
+    "retrieval": lambda **kw: simulate_retrieval(
+        SpinWave(grid=SpaceGrid.uniform_midpoint(64), samples=np.ones(64)),
+        constant_control(1.0, 20.0), MediumParams(d=30.0), dtau=0.2, n_zeta=64, **kw,
+    ),
+    "fast": lambda **kw: simulate_fast_storage(
+        optimal_fast_input(3.0, recommended_fast_grid(3.0)).mode, MediumParams(d=3.0),
+        dtau=0.2, n_zeta=64, **kw,
+    ),
+}
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("kind", sorted(_COARSE_RUNS))
+    def test_explicit_step_refines_until_balanced(self, kind):
+        run = _COARSE_RUNS[kind]()
+        refinements = run.diagnostics["refinements"]
+        assert refinements >= 1
+        assert abs(run.diagnostics["defect"]) <= DEFECT_TOL
+        assert run.diagnostics["dtau"] <= 0.2 / 2**refinements + 1e-12
+        with pytest.raises(InstabilityError):
+            _COARSE_RUNS[kind](max_refinements=0)
+
+    @pytest.mark.parametrize("case", [(10.0, 50.0), (100.0, -20.0)])
+    def test_default_step_refinement_halves_substeps(
+        self, case, shaped_runs, reference_input, monkeypatch
+    ):
+        params, ctrl, first = shaped_runs[case]
+        monkeypatch.setattr(simulator, "DEFECT_TOL", abs(first.diagnostics["defect"]) / 2)
+        run = simulate_storage(reference_input, ctrl, params, n_zeta=128)
+        before, after = first.diagnostics, run.diagnostics
+        assert after["refinements"] == 1
+        # the coarse step and the local substep bound halve together, so the
+        # smallest substep halves; the count about doubles (not exactly: each
+        # coarse step samples the control at three new points)
+        assert after["dtau_min"] <= 0.51 * before["dtau_min"]
+        assert after["n_steps"] >= 1.95 * before["n_steps"]
 
 
 class TestScaledSystemStructure:
