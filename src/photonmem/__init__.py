@@ -35,7 +35,6 @@ from .core import (
 )
 from .kernel import (
     KernelOperator,
-    dense_max_eigenpair,
     kernel_eval,
     optimal_spin_wave,
     retrieval_efficiency,
@@ -97,7 +96,6 @@ __all__ = [
     "KernelOperator",
     "retrieval_efficiency",
     "optimal_spin_wave",
-    "dense_max_eigenpair",
     "DecayFunction",
     "retrieve_adiabatic",
     "store_adiabatic",

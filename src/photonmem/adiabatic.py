@@ -36,6 +36,7 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _trapezoid_weights,
     mode_norm2,
     time_reverse,
 )
@@ -170,9 +171,7 @@ def storage_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) ->
     """
     hf = DecayFunction.from_control(ctrl)
     kappa = _bracket_matrix(hf.total - hf.h, grid.nodes, params)
-    tw = np.full(ctrl.grid.n, ctrl.grid.dtau)
-    tw[0] = tw[-1] = 0.5 * ctrl.grid.dtau
-    row = tw * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
+    row = _trapezoid_weights(ctrl.grid) * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
     return -math.sqrt(params.d) * (kappa.T * row[None, :])
 
 

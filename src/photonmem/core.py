@@ -33,8 +33,6 @@ __all__ = [
     "time_reverse",
     "normalized_mode",
     "normalized_spinwave",
-    "mode_l2_distance",
-    "spinwave_l2_distance",
     "resample_spinwave",
     "make_reference_input",
     "nondimensionalize_doc",
@@ -243,6 +241,12 @@ class EfficiencyBreakdown:
     residual_fraction: float = 0.0
 
 
+def _trapezoid_weights(g: TimeGrid) -> np.ndarray:
+    w = np.full(g.n, g.dtau)
+    w[0] = w[-1] = 0.5 * g.dtau
+    return w
+
+
 def mode_norm2(mode: FieldMode) -> float:
     """Trapezoid value of the time integral of |samples|^2."""
     return float(np.trapezoid(np.abs(mode.samples) ** 2, dx=mode.grid.dtau))
@@ -292,25 +296,6 @@ def normalized_spinwave(s: SpinWave) -> tuple[SpinWave, float]:
     if n2 <= 0.0:
         raise ValueError("cannot normalize a zero spin wave")
     return SpinWave(grid=s.grid, samples=s.samples / np.sqrt(n2)), n2
-
-
-def mode_l2_distance(a: FieldMode, b: FieldMode) -> float:
-    """Trapezoid L2 distance between two modes on the same grid."""
-    if a.grid != b.grid:
-        raise GridError("modes live on different time grids")
-    return float(
-        np.sqrt(np.trapezoid(np.abs(a.samples - b.samples) ** 2, dx=a.grid.dtau))
-    )
-
-
-def spinwave_l2_distance(a: SpinWave, b: SpinWave) -> float:
-    """Weighted L2 distance between two spin waves on the same grid."""
-    if a.grid is not b.grid and not (
-        np.array_equal(a.grid.nodes, b.grid.nodes)
-        and np.array_equal(a.grid.weights, b.grid.weights)
-    ):
-        raise GridError("spin waves live on different space grids")
-    return float(np.sqrt(np.dot(a.grid.weights, np.abs(a.samples - b.samples) ** 2)))
 
 
 def resample_spinwave(s: SpinWave, grid: SpaceGrid) -> SpinWave:

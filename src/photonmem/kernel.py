@@ -32,7 +32,6 @@ __all__ = [
     "retrieval_efficiency",
     "power_iteration",
     "optimal_spin_wave",
-    "dense_max_eigenpair",
 ]
 
 DEFAULT_NODES = 200
@@ -115,12 +114,6 @@ class KernelOperator:
     def apply(self, samples: np.ndarray) -> np.ndarray:
         return self.matrix @ samples
 
-    def quadratic_form(self, samples: np.ndarray) -> float:
-        """Double-integral value of the efficiency form for given samples."""
-        w = self.grid.weights
-        val = np.conj(samples) @ (w[:, None] * self.matrix @ samples)
-        return float(np.real(val))
-
     def symmetry_defect(self) -> float:
         """max_ij |K_ij / w_j - K_ji / w_i|, zero for an exactly symmetric kernel."""
         w = self.grid.weights
@@ -134,14 +127,17 @@ def retrieval_efficiency(s: SpinWave, d: float) -> float:
     Evaluated by quadrature on the spin wave's own grid.  For a unit-norm
     wave the result lies in (0, 1); it scales quadratically with amplitude.
     """
-    op = KernelOperator.build(MediumParams(d=d), s.grid)
-    return op.quadratic_form(s.samples)
+    b, sw = _sqrt_weight_kernel(d, s.grid)
+    v = sw * s.samples
+    return float(np.real(np.conj(v) @ (b @ v)))
 
 
 def power_iteration(
     op: KernelOperator, tol: float = 1e-8, max_iter: int = 10000
 ) -> tuple[np.ndarray, float, int]:
     """Dominant eigenpair of a kernel operator; returns the iteration count.
+
+    An independent check on the dense route of :func:`optimal_spin_wave`.
 
     Starts from the constant wave (strictly positive, hence never orthogonal
     to the dominant eigenvector of a positive kernel) and iterates the
@@ -176,41 +172,31 @@ def power_iteration(
     )
 
 
-def optimal_spin_wave(
-    d: float,
-    grid: SpaceGrid | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-) -> tuple[SpinWave, float]:
+def _kernel_eigh(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full eigendecomposition of the sqrt-weight kernel: (vals, vecs, sqrt(w)).
+
+    Eigenvalues ascend.  Raises :class:`GridError` when the largest exceeds 1.
+    numpy's LAPACK is used rather than ``scipy.linalg``: the two link separate
+    BLAS builds whose thread pools slow each other down when calls alternate.
+    """
+    sym, sw = _sqrt_weight_kernel(d, grid)
+    vals, vecs = np.linalg.eigh(sym)
+    _check_resolved(float(vals[-1]), d, grid)
+    return vals, vecs, sw
+
+
+def optimal_spin_wave(d: float, grid: SpaceGrid | None = None) -> tuple[SpinWave, float]:
     """Optimal retrieval mode and maximum efficiency at depth ``d``.
 
     The unit-norm positive dominant eigenvector of the retrieval kernel and
-    its eigenvalue, by :func:`power_iteration` on a Gauss-Legendre grid.
+    its eigenvalue, from a dense symmetric eigensolve on a Gauss-Legendre
+    grid.  Raises :class:`GridError` when the eigenvalue exceeds 1 (the grid
+    is too coarse for the depth).
     """
-    op = KernelOperator.build(MediumParams(d=d), grid)
-    s, eta, _ = power_iteration(op, tol=tol, max_iter=max_iter)
-    return SpinWave(grid=op.grid, samples=s), eta
-
-
-def dense_max_eigenpair(d: float, grid: SpaceGrid | None = None) -> tuple[SpinWave, float]:
-    """Full symmetric eigendecomposition route to the dominant mode.
-
-    Independent of the power iteration: the kernel is symmetrized with
-    sqrt-weight similarity and handed to a dense eigensolver.  Used as an
-    oracle and for spectra beyond the leading eigenvalue.  Raises
-    :class:`GridError` when the eigenvalue exceeds 1, as power iteration does.
-    """
-    from scipy.linalg import eigh
-
     if grid is None:
         grid = SpaceGrid.gauss_legendre(DEFAULT_NODES)
-    w = grid.weights
-    sym, sw = _sqrt_weight_kernel(d, grid)
-    vals, vecs = eigh(sym)
-    eta = float(vals[-1])
-    _check_resolved(eta, d, grid)
-    v = vecs[:, -1] / sw
-    v /= np.sqrt(np.dot(w, v**2))
-    if np.dot(w, v) < 0:
+    vals, vecs, sw = _kernel_eigh(d, grid)
+    v = vecs[:, -1] / sw  # unit norm in the weights, as the eigenvector is in the plain norm
+    if np.dot(grid.weights, v) < 0:
         v = -v
-    return SpinWave(grid=grid, samples=v), eta
+    return SpinWave(grid=grid, samples=v), float(vals[-1])

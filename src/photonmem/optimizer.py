@@ -32,13 +32,14 @@ from .core import (
     SpinWave,
     TimeGrid,
     _resample_waveform,
+    _trapezoid_weights,
     flip,
     mode_norm2,
     normalized_spinwave,
     resample_spinwave,
     time_reverse,
 )
-from .kernel import _sqrt_weight_kernel, retrieval_efficiency
+from .kernel import _kernel_eigh, retrieval_efficiency
 
 __all__ = [
     "IterationTrace",
@@ -85,12 +86,6 @@ def completing_control(
     duration = default_h_max(params) / omega**2
     grid = TimeGrid.linspace(0.0, duration, n)
     return ControlField(grid=grid, samples=np.full(n, omega, dtype=complex))
-
-
-def _trapezoid_weights(g: TimeGrid) -> np.ndarray:
-    w = np.full(g.n, g.dtau)
-    w[0] = w[-1] = 0.5 * g.dtau
-    return w
 
 
 def _reversed_control_on(ctrl: ControlField, grid: TimeGrid) -> ControlField:
@@ -209,19 +204,17 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
     Derived from the time-reversal bound: the best storage into a spin-wave
     direction is set by the kernel, and forward retrieval applies the kernel
     without the spatial flip, so the composite maximum is the top eigenvalue
-    of K^(1/2) F K F K^(1/2) (F = spatial flip).  Evaluated by a dense
-    symmetric eigensolve in sqrt-weight coordinates.
+    of K^(1/2) F K F K^(1/2) = M^2 with M = K^(1/2) F K^(1/2) (F = spatial
+    flip).  With K = V L V^T and r = V sqrt(L), M is similar to r^T F r, so
+    the bound is the larger square of that matrix's extreme eigenvalues.
+    Raises :class:`GridError` on an under-resolved grid.
     """
-    from scipy.linalg import eigh
-
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
-    b, _ = _sqrt_weight_kernel(d, grid)
-    vals, vecs = eigh(b)
-    b_half = (vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]) @ vecs.T
-    b_flip = b[::-1, ::-1]
-    top = eigh(b_half @ b_flip @ b_half, eigvals_only=True)
-    return float(top[-1])
+    vals, vecs, _ = _kernel_eigh(d, grid)
+    r = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    m = np.linalg.eigvalsh(r.T @ r[::-1])
+    return float(max(m[0] ** 2, m[-1] ** 2))
 
 
 def optimize_storage_retrieval(

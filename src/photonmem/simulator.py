@@ -129,6 +129,11 @@ def _waveform_on(times: np.ndarray, wf: Waveform) -> np.ndarray:
     return _resample_waveform(wf, times)
 
 
+def _medium_dtau(params: MediumParams, cap: float) -> float:
+    """Step resolving the detuning rotation and the collective coupling, at most ``cap``."""
+    return min(cap, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
+
+
 def default_dtau(
     params: MediumParams,
     ctrl: Waveform,
@@ -140,7 +145,7 @@ def default_dtau(
     The control's strength is left out; :func:`_substeps` cuts each coarse
     step into as many RK4 substeps as the control there needs.
     """
-    dt = min(0.05, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
+    dt = _medium_dtau(params, 0.05)
     if isinstance(ctrl, ControlField):
         dt = min(dt, ctrl.grid.dtau)
     if input_mode is not None:
@@ -340,7 +345,7 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
     dz = integ.dz
     leak = dec = 0.0
     t = t_start
-    dt = min(dt_cap, 0.5 / math.sqrt(1.0 + integ.params.delta**2), 2.0 / (1.0 + 0.7 * integ.params.d))
+    dt = _medium_dtau(integ.params, dt_cap)
     n_steps = max(2, int(round(5.0 / dt)))
     e_half = np.zeros(2 * n_steps + 1, dtype=complex)
     while dz * float(np.sum(np.abs(p) ** 2)) > RING_DOWN_P_TOL and t - t_start < RING_DOWN_MAX_TIME:

@@ -42,7 +42,6 @@ from photonmem import (
 )
 from photonmem.cli import _curve_point
 from photonmem.fast import recommended_fast_grid
-from photonmem.kernel import dense_max_eigenpair
 from photonmem.simulator import apply_finite_pi_pulse, EnsembleState
 
 from conftest import smooth_test_wave
@@ -270,11 +269,11 @@ def test_criterion_7_conservation_and_order(ref_input, collected_storage_runs):
 def test_criterion_8_asymptotics_and_ordering(eta_max):
     ladder = [optimal_spin_wave(d)[1] for d in (0.5, 1, 2, 5, 10, 30, 100, 300, 1000)]
     monotone = bool(np.all(np.diff(ladder) > 0))
-    _, eta_1000 = dense_max_eigenpair(1000.0, SpaceGrid.gauss_legendre(400))
+    _, eta_1000 = optimal_spin_wave(1000.0, SpaceGrid.gauss_legendre(400))
     approach = eta_1000 > 0.99
 
     ds = np.geomspace(0.3, 300.0, 25)
-    points = [_curve_point((float(d), 0.0, 200, 256, 20.0, 2001, 1e-8)) for d in ds]
+    points = [_curve_point((float(d), 0.0, 200, 256, 20.0, 2001)) for d in ds]
     clean = all("error" not in p for p in points)
     back = np.array([p["eta_back"] for p in points])
     forw = np.array([p["eta_forw"] for p in points])

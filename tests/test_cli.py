@@ -129,6 +129,23 @@ class TestCommands:
         assert np.all(rows["eta_back"] >= rows["eta_forw"] - 1e-12)
         assert np.all(rows["eta_back"] >= rows["eta_square"] - 1e-12)
 
+    def test_curve_point_skips_ring_down(self, monkeypatch):
+        # only the stored spin wave is read, and the ring-down leaves it unchanged
+        import photonmem.simulator
+
+        real = photonmem.simulator.simulate_storage
+        diagnostics = []
+
+        def recording(*args, **kwargs):
+            run = real(*args, **kwargs)
+            diagnostics.append(run.diagnostics)
+            return run
+
+        monkeypatch.setattr(photonmem.simulator, "simulate_storage", recording)
+        d = float(np.geomspace(0.3, 300.0, 25)[22])
+        cli._curve_point((d, 0.0, 200, 256, 20.0, 2001))
+        assert [(g["refinements"], g["ring_down_time"]) for g in diagnostics] == [(0, 0.0)]
+
     def test_simulate_zero_control(self, tmp_path):
         out = tmp_path / "z"
         rc = main(["simulate", "--d", "10", "--control", "0:0", "--out", str(out)])

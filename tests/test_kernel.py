@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonmem import (
     ConvergenceError,
@@ -8,13 +12,21 @@ from photonmem import (
     MediumParams,
     SpaceGrid,
     SpinWave,
-    dense_max_eigenpair,
+    forward_max_efficiency,
     kernel_eval,
     optimal_spin_wave,
     retrieval_efficiency,
 )
+from photonmem.kernel import power_iteration
 
 from conftest import smooth_test_wave
+
+
+def power_route(d, grid):
+    """The power-iteration reference for the dense route of optimal_spin_wave."""
+    op = KernelOperator.build(MediumParams(d=d), grid)
+    s, eta, _ = power_iteration(op)
+    return SpinWave(grid=op.grid, samples=s), eta
 
 # dominant eigenvalues from the dense 400-node Gauss eigensolve, frozen as
 # regression goldens once the full acceptance suite passed
@@ -134,8 +146,8 @@ class TestOptimalSpinWave:
 
     def test_dense_route_agrees(self, gauss_grid):
         for d in (1.0, 10.0, 100.0):
-            s_p, eta_p = optimal_spin_wave(d, gauss_grid)
-            s_d, eta_d = dense_max_eigenpair(d, gauss_grid)
+            s_p, eta_p = power_route(d, gauss_grid)
+            s_d, eta_d = optimal_spin_wave(d, gauss_grid)
             assert eta_p == pytest.approx(eta_d, abs=1e-6)
             wl2 = np.sqrt(np.dot(gauss_grid.weights, np.abs(s_p.samples - s_d.samples) ** 2))
             assert wl2 < 1e-3
@@ -154,13 +166,13 @@ class TestOptimalSpinWave:
             assert np.all(np.diff(vals) > 0)
             assert np.max(np.abs(np.diff(vals, 2))) < 0.05
 
-    @pytest.mark.parametrize("route", [optimal_spin_wave, dense_max_eigenpair])
+    @pytest.mark.parametrize("route", [optimal_spin_wave, power_route])
     def test_under_resolved_grid_raises(self, route):
         # 50 nodes miss the boundary layer at d = 1e4 and give eta = 1.258
         with pytest.raises(GridError, match="more Gauss nodes"):
             route(1e4, SpaceGrid.gauss_legendre(50))
 
-    @pytest.mark.parametrize("route", [optimal_spin_wave, dense_max_eigenpair])
+    @pytest.mark.parametrize("route", [optimal_spin_wave, power_route])
     def test_resolved_large_depth_stays_below_one(self, route, gauss_grid):
         _, eta = route(1e4, gauss_grid)
         assert eta == pytest.approx(0.99971, abs=1e-5)
@@ -168,9 +180,38 @@ class TestOptimalSpinWave:
 
     def test_nonconvergence_carries_last_iterate(self):
         with pytest.raises(ConvergenceError) as err:
-            optimal_spin_wave(10.0, tol=1e-15, max_iter=2)
+            power_iteration(KernelOperator.build(MediumParams(d=10.0)), tol=1e-15, max_iter=2)
         assert err.value.last_mode is not None
         assert err.value.last_eigenvalue is not None
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestDenseRouteProperties:
+    """Properties of the dense route on the default 200-node grid.
+
+    Example counts keep the class under 2 s.
+    """
+
+    @settings(max_examples=25)
+    @given(d=_log_uniform(0.1, 1e4))
+    def test_efficiency_in_unit_interval_above_forward_bound(self, d):
+        _, eta = optimal_spin_wave(d)
+        assert 0.0 < eta <= 1.0
+        assert forward_max_efficiency(d) <= eta**2
+
+    @settings(max_examples=25)
+    @given(d=_log_uniform(0.1, 1e4), ratio=st.floats(1.001, 1.1))
+    def test_strictly_increasing_in_depth(self, d, ratio):
+        assert optimal_spin_wave(d)[1] > optimal_spin_wave(d / ratio)[1]
+
+    @settings(max_examples=15)
+    @given(d=_log_uniform(1e3, 1e4))
+    def test_large_depth_loss_scales_as_one_over_depth(self, d):
+        _, eta = optimal_spin_wave(d)
+        assert 2.7 <= (1.0 - eta) * d <= 2.9
 
 
 class TestKernelOperator:
@@ -181,6 +222,6 @@ class TestKernelOperator:
     def test_largest_eigenvalue_in_unit_interval(self, gauss_grid):
         for d in (0.5, 50.0):
             op = KernelOperator.build(MediumParams(d=d), gauss_grid)
-            _, eta = dense_max_eigenpair(d, gauss_grid)
+            _, eta = optimal_spin_wave(d, gauss_grid)
             assert 0.0 < eta < 1.0
             assert np.all(op.matrix > 0)

@@ -3,7 +3,9 @@ import pytest
 
 from photonmem import (
     ControlField,
+    GridError,
     MediumParams,
+    SpaceGrid,
     SpinWave,
     TimeGrid,
     flip,
@@ -140,6 +142,11 @@ class TestForwardComposite:
     def test_direction_validated(self, reference_input):
         with pytest.raises(ValueError):
             optimize_storage_retrieval(10.0, reference_input, "sideways")
+
+    def test_under_resolved_grid_raises(self):
+        # 50 nodes miss the boundary layer at d = 1e4; the bound would read 1.173
+        with pytest.raises(GridError, match="more Gauss nodes"):
+            forward_max_efficiency(1e4, SpaceGrid.gauss_legendre(50))
 
 
 class TestStorageBound:
