@@ -115,6 +115,15 @@ class RunConfig:
             raise ConfigError("key 'd' must list positive finite depths")
         return vals
 
+    def depth_files(self, prefix: str) -> list[tuple[float, str]]:
+        """(depth, CSV name) per listed depth; depths that share a name are refused."""
+        named = [(d, f"{prefix}_d{d:g}.csv") for d in self.d_list()]
+        names = [name for _, name in named]
+        clash = next((name for name in names if names.count(name) > 1), None)
+        if clash is not None:
+            raise ConfigError(f"key 'd': depths {self.d!r} would share the output file {clash}")
+        return named
+
     def depth(self) -> float:
         """The depth of a command that models a single medium."""
         vals = self.d_list()
@@ -177,13 +186,14 @@ def _outdir(cfg: RunConfig) -> Path:
 def cmd_optimal_spinwave(cfg: RunConfig) -> int:
     from .kernel import optimal_spin_wave
 
+    files = cfg.depth_files("spinwave")
     out = _outdir(cfg)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
     results = []
-    for d in cfg.d_list():
+    for d, name in files:
         mode, eta = optimal_spin_wave(d, grid)
         _write_csv(
-            out / f"spinwave_d{d:g}.csv",
+            out / name,
             ["zeta", "S"],
             [grid.nodes, mode.samples.real],
         )
@@ -200,17 +210,18 @@ def cmd_optimal_spinwave(cfg: RunConfig) -> int:
 def cmd_shape_controls(cfg: RunConfig) -> int:
     from .adiabatic import optimal_storage_control
 
+    files = cfg.depth_files("control")
     out = _outdir(cfg)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
     input_mode = make_reference_input(cfg.input_T, TimeGrid.linspace(0, cfg.input_T, cfg.input_n))
     results = []
-    for d in cfg.d_list():
+    for d, name in files:
         params = MediumParams(d=d, delta=cfg.delta)
         res = optimal_storage_control(input_mode, params, grid=grid, h_max=cfg.h_max)
         om = res.control.samples
         disp = om * math.sqrt(cfg.input_T / d)  # control in sqrt(d/T) display units
         _write_csv(
-            out / f"control_d{d:g}.csv",
+            out / name,
             ["tau", "re_omega", "im_omega", "re_omega_display", "im_omega_display"],
             [input_mode.grid.times, om.real, om.imag, disp.real, disp.imag],
         )

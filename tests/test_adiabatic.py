@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ive
 
 from photonmem import (
@@ -10,10 +13,12 @@ from photonmem import (
     ShapingError,
     SpinWave,
     TimeGrid,
+    adiabatic,
     flip,
     mode_norm2,
     optimal_spin_wave,
     optimal_storage_control,
+    retrieval_efficiency,
     retrieve_adiabatic,
     shape_retrieval_control,
     spinwave_norm2,
@@ -31,6 +36,35 @@ from photonmem.adiabatic import (
 def constant_control(omega, T, n=2001):
     g = TimeGrid.linspace(0.0, T, n)
     return ControlField(grid=g, samples=np.full(n, omega, dtype=complex))
+
+
+RAMAN_DEPTHS = [1.0, 10.0, 300.0, 1e3, 1e4]
+RAMAN_DETUNINGS = [1e-12, -1e-12, 10.0, -10.0, 50.0, -50.0, 200.0, -200.0, 1000.0, -1000.0]
+BRACKET_TOL = 1e-13  # of the case's max |bracket|
+
+
+def shaping_rows(params):
+    """The sqrt(h)-spaced rows of the shaping's energy table; row 0 is h = 0."""
+    return np.linspace(0.0, np.sqrt(default_h_max(params)), 4001) ** 2
+
+
+def ive_bracket(h, zeta, params):
+    """The complex bracket through one complex ive call per element."""
+    dz = params.d * zeta
+    denom = 1.0 + 1j * params.delta
+    z_arg = 2.0 * np.sqrt(np.outer(h, dz)) / denom
+    expo = -(dz[None, :] + h[:, None]) / denom + z_arg.real
+    return ive(0, z_arg) * np.exp(expo)
+
+
+def mpmath_bracket(h, zeta, params):
+    """exp(-(d zeta + h)/(1 + i delta)) I0(2 sqrt(d zeta h)/(1 + i delta)) at 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(params.d) * mpmath.mpf(zeta)
+        hh = mpmath.mpf(h)
+        denom = mpmath.mpc(1.0, params.delta)
+        bessel = mpmath.besseli(0, 2 * mpmath.sqrt(x * hh) / denom)
+        return complex(mpmath.exp(-(x + hh) / denom) * bessel)
 
 
 class TestDecayFunction:
@@ -63,6 +97,51 @@ class TestBracket:
         assert np.max(np.abs(real - ref)) < 1e-13
         near = _bracket_matrix(h, zeta, MediumParams(d=d, delta=1e-12))
         assert np.max(np.abs(near - real)) < 1e-10
+
+    @pytest.mark.parametrize("delta", RAMAN_DETUNINGS)
+    @pytest.mark.parametrize("d", RAMAN_DEPTHS)
+    def test_raman_bracket_matches_mpmath(self, d, delta, gauss_grid):
+        params = MediumParams(d=d, delta=delta)
+        h = shaping_rows(params)
+        zeta = gauss_grid.nodes
+        got = _bracket_matrix(h, zeta, params)
+        rng = np.random.default_rng(7)
+        # evenly spread rows from h = 0 to the last row, both end nodes of the
+        # Gauss grid, and a few seeded interior points
+        rows = np.union1d(np.linspace(0, h.size - 1, 9).astype(int), rng.integers(0, h.size, 4))
+        cols = np.union1d(np.linspace(0, zeta.size - 1, 5).astype(int), rng.integers(0, zeta.size, 3))
+        scale = np.max(np.abs(got))
+        err = max(
+            abs(got[i, j] - mpmath_bracket(h[i], zeta[j], params)) for i in rows for j in cols
+        )
+        assert err <= BRACKET_TOL * scale
+
+    @pytest.mark.parametrize("delta", RAMAN_DETUNINGS)
+    @pytest.mark.parametrize("d", RAMAN_DEPTHS)
+    def test_raman_bracket_matches_ive_formula(self, d, delta, gauss_grid):
+        params = MediumParams(d=d, delta=delta)
+        h = shaping_rows(params)
+        ref = ive_bracket(h, gauss_grid.nodes, params)
+        got = _bracket_matrix(h, gauss_grid.nodes, params)
+        assert np.max(np.abs(got - ref)) <= BRACKET_TOL * np.max(np.abs(ref))
+
+    def test_raman_shaping_evaluates_ive_per_node_not_per_element(
+        self, monkeypatch, optimal_modes, reference_input
+    ):
+        # a guard without timing: per-element complex ive would evaluate every
+        # (row, node) pair of the energy table and the phase rows
+        counted = []
+
+        def counting_ive(v, z):
+            counted.append(np.broadcast(v, z).size)
+            return ive(v, z)
+
+        monkeypatch.setattr(adiabatic, "ive", counting_ive)
+        s, _ = optimal_modes[100.0]
+        target = time_reverse(reference_input)
+        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=30.0))
+        elements = (4001 + target.grid.n) * s.grid.n
+        assert 0 < sum(counted) < 0.02 * elements
 
 
 class TestRetrieveAdiabatic:
@@ -97,6 +176,27 @@ class TestRetrieveAdiabatic:
         ctrl = constant_control(2.0, 320.0, 4001)
         out = retrieve_adiabatic(s, ctrl, MediumParams(d=10.0, delta=-10.0))
         assert mode_norm2(out) == pytest.approx(eta, abs=1e-3)
+
+    def test_opposite_detuning_conjugates_output(self, optimal_modes):
+        # a real wave and a real control: delta -> -delta conjugates the
+        # bracket, so a sign slip in the ray's direction shows here
+        s, _ = optimal_modes[10.0]
+        g = TimeGrid.linspace(0.0, 400.0, 4001)
+        env = 2.0 * (1.0 + 0.5 * np.sin(g.times / 40.0))
+        ctrl = ControlField(grid=g, samples=env.astype(complex))
+        plus = retrieve_adiabatic(s, ctrl, MediumParams(d=10.0, delta=30.0)).samples
+        minus = retrieve_adiabatic(s, ctrl, MediumParams(d=10.0, delta=-30.0)).samples
+        assert np.max(np.abs(minus - np.conj(plus))) <= 1e-13 * np.max(np.abs(plus))
+
+    @settings(max_examples=25)
+    @given(delta=st.floats(-100.0, 100.0))
+    def test_completing_constant_control_delivers_kernel_efficiency(self, optimal_modes, delta):
+        s, _ = optimal_modes[10.0]
+        params = MediumParams(d=10.0, delta=delta)
+        omega = 2.0
+        T = 1.05 * default_h_max(params) / omega**2
+        out = retrieve_adiabatic(s, constant_control(omega, T, 4001), params)
+        assert mode_norm2(out) == pytest.approx(retrieval_efficiency(s, 10.0), abs=1e-3)
 
     def test_short_window_warns(self, optimal_modes):
         s, _ = optimal_modes[10.0]

@@ -230,6 +230,16 @@ class TestExitCodes:
         assert "'d'" in capsys.readouterr().err
         assert not any(out.glob("*_summary.json"))
 
+    @pytest.mark.parametrize("command", ["optimal-spinwave", "shape-controls"])
+    @pytest.mark.parametrize("depths", ["10,10", "1.0000001,1.0000002"])
+    def test_depths_sharing_a_file_are_one(self, tmp_path, command, depths, capsys):
+        # per-depth CSVs are named with 6 significant digits; depths that agree
+        # to that many would overwrite each other's file
+        out = tmp_path / "x"
+        assert main([command, "--d", depths, "--out", str(out)]) == 1
+        assert "'d'" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     def test_failed_sweep_point_is_two(self, tmp_path, monkeypatch):
         real_point = cli._curve_point
 
