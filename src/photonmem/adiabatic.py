@@ -215,17 +215,25 @@ def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) 
     return -math.sqrt(params.d) * ctrl.samples[:, None] * _emission_matrix(h, grid, params)
 
 
+def _storage_from_retrieval(r: np.ndarray, time_grid: TimeGrid, grid: SpaceGrid) -> np.ndarray:
+    """Storage matrix of a control from the retrieval matrix ``r`` of its time reverse.
+
+    Storage is retrieval run backwards in time and space: element (j, k) is
+    r[N-1-k, n-1-j] * tw_k / w_j, with tw the trapezoid time weights and w
+    the space weights of a grid symmetric under zeta -> 1 - zeta.
+    """
+    return r[::-1, ::-1].T * (_trapezoid_weights(time_grid)[None, :] / grid.weights[:, None])
+
+
 def storage_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
     """Matrix sending input-mode samples to stored spin-wave samples.
 
-    The adjoint (time reverse) of the retrieval integral: the bracket kernel
-    is evaluated at the control power still to come, h(T) - h(tau), and the
-    control enters conjugated.  Time quadrature is the trapezoid rule.
+    Taken from the retrieval matrix of the time-reversed control by the
+    time-reversal identity of :func:`_storage_from_retrieval`; the grid
+    must be symmetric under zeta -> 1 - zeta.
     """
-    hf = DecayFunction.from_control(ctrl)
-    kappa = _bracket_matrix(hf.total - hf.h, grid.nodes, params)
-    row = _trapezoid_weights(ctrl.grid) * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
-    return -math.sqrt(params.d) * (kappa.T * row[None, :])
+    r = retrieval_matrix(time_reverse(ctrl), params, grid)
+    return _storage_from_retrieval(r, ctrl.grid, grid)
 
 
 def retrieve_adiabatic(s: SpinWave, ctrl: ControlField, params: MediumParams) -> FieldMode:
@@ -237,9 +245,7 @@ def retrieve_adiabatic(s: SpinWave, ctrl: ControlField, params: MediumParams) ->
     control shape or detuning.
     """
     _warn_short_window(ctrl.grid.duration, params.d, "retrieve_adiabatic")
-    h = DecayFunction.from_control(ctrl).h
-    q = _emission_profile(h, s, params)
-    out = -math.sqrt(params.d) * ctrl.samples * q
+    out = retrieval_matrix(ctrl, params, s.grid) @ s.samples
     return FieldMode(grid=ctrl.grid, samples=out)
 
 
@@ -252,8 +258,9 @@ def store_adiabatic(
     """Closed-form spin wave stored from an input mode (storage frame).
 
     This is the time reverse of :func:`retrieve_adiabatic`: the stored wave
-    is the adjoint integral of the input against the same bracket kernel
-    with the remaining control power h(T) - h(tau) in place of h.
+    is the adjoint integral of the input against the same bracket kernel,
+    taken from the retrieval matrix of the time-reversed control.  ``grid``
+    must be symmetric under zeta -> 1 - zeta.
     """
     if ctrl.grid != input_mode.grid:
         raise ValueError("control and input must share a time grid")

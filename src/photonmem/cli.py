@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -85,6 +84,8 @@ class RunConfig:
                 setattr(self, key, cast(raw))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for key '{key}': {raw!r}") from exc
+            if cast is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"key '{key}' must be finite, got {raw!r}")
         unknown = set(values) - set(_KEY_SPECS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -403,7 +404,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
         )
         init = SpinWave(grid=grid, samples=np.clip(samples, 0.05, None).astype(complex))
     ctrl = completing_control(params, omega=cfg.omega if cfg.omega > 0 else None)
-    trace = iterate_retrieval(d, ctrl, init, tol=cfg.tol, max_iter=cfg.max_iter)
+    trace = iterate_retrieval(d, ctrl, init, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta)
     _write_csv(
         out / "iterate_mode.csv",
         ["zeta", "re_S", "im_S"],
@@ -483,9 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

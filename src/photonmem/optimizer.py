@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import (
+    _storage_from_retrieval,
     optimal_storage_control,
     retrieval_matrix,
-    storage_matrix,
     store_adiabatic,
 )
 from .core import (
@@ -88,13 +88,6 @@ def completing_control(
     return ControlField(grid=grid, samples=np.full(n, omega, dtype=complex))
 
 
-def _reversed_control_on(ctrl: ControlField, grid: TimeGrid) -> ControlField:
-    """conj(omega(T - tau)) resampled onto the given grid."""
-    g = ctrl.grid
-    t = g.tau0 + g.t_end - (grid.times - grid.tau0 + g.tau0)
-    return ControlField(grid=grid, samples=np.conj(_resample_waveform(ctrl, t)))
-
-
 def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
     """Iterate trial -> output -> time-reversed output until the trial settles.
 
@@ -156,7 +149,8 @@ def iterate_retrieval(
     if method == "adiabatic":
         sigma, _ = normalized_spinwave(init)
         fwd = retrieval_matrix(ctrl, params, sigma.grid)
-        rev = storage_matrix(_reversed_control_on(ctrl, ctrl.grid), params, sigma.grid)
+        # storing with the time-reversed control: the adjoint of fwd
+        rev = _storage_from_retrieval(fwd, ctrl.grid, sigma.grid)
         tw = _trapezoid_weights(ctrl.grid)
 
         def run(samples):
@@ -184,7 +178,7 @@ def iterate_retrieval(
         def reverse(e, eta):
             m = time_reverse(e)
             m = FieldMode(grid=m.grid, samples=m.samples / math.sqrt(eta))
-            st = simulate_storage(m, _reversed_control_on(ctrl, m.grid), params, n_zeta=n_zeta)
+            st = simulate_storage(m, time_reverse(ctrl), params, n_zeta=n_zeta)
             return st.final_state.S[::-1]  # flip back into the retrieval frame
 
     efficiencies, x, iterations, converged = _time_reversal_loop(
@@ -256,9 +250,9 @@ def optimize_storage_retrieval(
         controls = CompositeControls(storage=res.control, retrieval=res.retrieval_control)
         return controls, trace
 
-    ctrl = completing_control(params)
-    fwd_store = storage_matrix(ctrl, params, grid)
+    ctrl = completing_control(params)  # real and constant: its own time reverse
     fwd_retr = retrieval_matrix(ctrl, params, grid)
+    fwd_store = _storage_from_retrieval(fwd_retr, ctrl.grid, grid)
     tw = _trapezoid_weights(ctrl.grid)
     u = _resample_waveform(input_mode, ctrl.grid.times)
     nrm = math.sqrt(float(tw @ np.abs(u) ** 2))

@@ -166,10 +166,9 @@ def _substeps(om_half: np.ndarray, dt: float, scale: float) -> np.ndarray:
     """
     a = np.abs(om_half)
     w = np.maximum(np.maximum(a[:-1:2], a[1::2]), a[2::2])
-    bound = np.full(w.shape, np.inf)
-    on = w > 0
-    bound[on] = scale * np.maximum(0.5 / w[on] ** 2, 0.3 / w[on])
-    return np.maximum(1, np.ceil(dt / bound - 1e-12)).astype(np.int64)
+    # dt / bound without dividing by w, which is subnormal where a drive returns to 0
+    per_step = (dt / scale) * np.minimum(2.0 * w**2, w / 0.3)
+    return np.maximum(1, np.ceil(per_step - 1e-12)).astype(np.int64)
 
 
 class _Integrator:

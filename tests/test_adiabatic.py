@@ -11,6 +11,7 @@ from photonmem import (
     FieldMode,
     MediumParams,
     ShapingError,
+    SpaceGrid,
     SpinWave,
     TimeGrid,
     adiabatic,
@@ -30,7 +31,9 @@ from photonmem.adiabatic import (
     _bracket_matrix,
     _emission_profile,
     default_h_max,
+    storage_matrix,
 )
+from photonmem.core import _trapezoid_weights
 
 
 def constant_control(omega, T, n=2001):
@@ -41,6 +44,13 @@ def constant_control(omega, T, n=2001):
 RAMAN_DEPTHS = [1.0, 10.0, 300.0, 1e3, 1e4]
 RAMAN_DETUNINGS = [1e-12, -1e-12, 10.0, -10.0, 50.0, -50.0, 200.0, -200.0, 1000.0, -1000.0]
 BRACKET_TOL = 1e-13  # of the case's max |bracket|
+# the 12 shaping cases of the two-pass shaping, plus large detunings
+STORAGE_CASES = [
+    (1.0, 0.0), (10.0, 0.0), (100.0, 0.0), (300.0, 0.0), (3.0, 10.0), (10.0, -10.0),
+    (30.0, 20.0), (100.0, -20.0), (10.0, 50.0), (300.0, -50.0), (50.0, 30.0), (1.0, -40.0),
+    (30.0, 200.0), (30.0, -200.0), (30.0, 1000.0), (30.0, -1000.0),
+]
+STORAGE_TOL = 1e-10  # of the case's max |M|
 
 
 def shaping_rows(params):
@@ -55,6 +65,14 @@ def ive_bracket(h, zeta, params):
     z_arg = 2.0 * np.sqrt(np.outer(h, dz)) / denom
     expo = -(dz[None, :] + h[:, None]) / denom + z_arg.real
     return ive(0, z_arg) * np.exp(expo)
+
+
+def direct_storage_matrix(ctrl, params, grid):
+    """The adjoint integral written out: bracket at the power still to come, h(T) - h(tau)."""
+    hf = DecayFunction.from_control(ctrl)
+    kappa = _bracket_matrix(hf.total - hf.h, grid.nodes, params)
+    row = _trapezoid_weights(ctrl.grid) * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
+    return -np.sqrt(params.d) * (kappa.T * row[None, :])
 
 
 def mpmath_bracket(h, zeta, params):
@@ -222,6 +240,28 @@ class TestStoreAdiabatic:
         ctrl = constant_control(1.0, 5.0, 101)
         with pytest.raises(ValueError):
             store_adiabatic(reference_input, ctrl, MediumParams(d=10.0))
+
+    @pytest.mark.parametrize("d, delta", STORAGE_CASES)
+    def test_storage_matrix_matches_direct_adjoint_integral(self, d, delta, reference_input,
+                                                           gauss_grid):
+        # a varying, chirped control that spends the full drain budget
+        params = MediumParams(d=d, delta=delta)
+        g = reference_input.grid
+        t = g.times
+        envelope = (1.0 + 0.4 * np.sin(0.3 * t)) * np.exp(0.2j * t + 0.01j * t**2)
+        omega = np.sqrt(1.05 * default_h_max(params) / g.duration) * envelope
+        ctrl = ControlField(grid=g, samples=omega)
+        ref = direct_storage_matrix(ctrl, params, gauss_grid)
+        got = storage_matrix(ctrl, params, gauss_grid)
+        assert np.max(np.abs(got - ref)) <= STORAGE_TOL * np.max(np.abs(ref))
+
+    def test_asymmetric_grid_rejected(self, reference_input):
+        edges = np.linspace(0.0, 1.0, 41) ** 2  # cells crowded toward zeta = 0
+        grid = SpaceGrid(nodes=0.5 * (edges[1:] + edges[:-1]), weights=np.diff(edges))
+        ctrl = ControlField(grid=reference_input.grid,
+                            samples=np.ones(reference_input.grid.n, dtype=complex))
+        with pytest.raises(ValueError):
+            store_adiabatic(reference_input, ctrl, MediumParams(d=10.0), grid)
 
 
 class TestShaping:

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from photonmem import TimeGrid, cli, mode_norm2
+import photonmem
+from photonmem import TimeGrid, cli, mode_norm2, optimal_spin_wave
 from photonmem.cli import (
+    _KEY_SPECS,
     ConfigError,
     RunConfig,
     _parse_piecewise_control,
@@ -195,6 +202,38 @@ class TestCommands:
         summary = json.loads((out / "simulate_summary.json").read_text())
         assert summary["params"]["d"] == 1.0
 
+    @pytest.mark.parametrize("delta", [30.0, -30.0])
+    def test_iterate_honours_detuning(self, tmp_path, delta):
+        # the completing control is sized for delta; retrieving on resonance
+        # instead empties the medium in the first samples and reads eta = 1.61
+        out = tmp_path / "i"
+        assert main(["iterate", "--d", "10", "--delta", repr(delta), "--out", str(out)]) == 0
+        eta = json.loads((out / "iterate_summary.json").read_text())["results"]["efficiencies"][-1]
+        assert 0.0 < eta <= 1.0
+        assert eta == pytest.approx(optimal_spin_wave(10.0)[1], abs=1e-3)
+
+    def test_control_returning_to_zero_raises_no_warning(self, tmp_path):
+        # the spline leaves subnormal values where the piecewise control reaches 0
+        out = tmp_path / "s"
+        argv = ["simulate", "--d", "30", "--control", "0:2; 8:1; 12:0", "--retrieve",
+                "backward", "--out", str(out)]
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+
+    def test_adiabaticity_warning_reaches_stderr(self, tmp_path):
+        # pytest records warnings raised in-process, so the CLI runs in its own interpreter
+        src = str(Path(photonmem.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "photonmem", "shape-controls", "--d", "0.3",
+             "--out", str(tmp_path / "c")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "AdiabaticityWarning" in done.stderr
+
 
 class TestExitCodes:
     def test_config_error_is_one(self, tmp_path):
@@ -259,6 +298,16 @@ class TestExitCodes:
         assert [r["d"] for r in results] == pytest.approx([1.0, np.sqrt(20.0), 20.0])
         assert [("error" in r) for r in results] == [True, False, False]
         assert "injected failure" in results[0]["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [k for k, (cast, _) in _KEY_SPECS.items() if cast is float])
+    def test_non_finite_float_key_is_one(self, tmp_path, key, value, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "x"
+        assert main(["iterate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "c.cfg"

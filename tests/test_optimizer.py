@@ -8,16 +8,49 @@ from photonmem import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    adiabatic,
     flip,
     forward_max_efficiency,
     iterate_retrieval,
     optimal_spin_wave,
     optimize_storage_retrieval,
     resample_spinwave,
+    time_reverse,
 )
 from photonmem.optimizer import completing_control
 
 MONOTONE_SLACK = 1e-6
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """Counts the bracket tables built; storage tables come from retrieval tables."""
+    calls = []
+    real = adiabatic._bracket_matrix
+
+    def counting(h, zeta, params):
+        calls.append(np.size(h))
+        return real(h, zeta, params)
+
+    monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
+    return calls
+
+
+class TestTimeReversalTables:
+    def test_adiabatic_iteration_builds_one_bracket_table(self, bracket_calls, gauss_grid):
+        init = SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n, dtype=complex))
+        trace = iterate_retrieval(10.0, completing_control(MediumParams(d=10.0)), init)
+        assert trace.iterations > 1
+        assert len(bracket_calls) == 1
+
+    def test_forward_composite_builds_one_bracket_table(self, bracket_calls, reference_input):
+        optimize_storage_retrieval(10.0, reference_input, "forward", delta=5.0, max_iter=20)
+        assert len(bracket_calls) == 1
+
+    @pytest.mark.parametrize("d, delta", [(1.0, 0.0), (30.0, 0.0), (10.0, -50.0), (300.0, 7.0)])
+    def test_completing_control_is_its_own_time_reverse(self, d, delta):
+        ctrl = completing_control(MediumParams(d=d, delta=delta))
+        assert np.array_equal(time_reverse(ctrl).samples, ctrl.samples)
 
 
 class TestIterateRetrieval:
