@@ -94,9 +94,12 @@ def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
     ``run(x)`` returns the efficiency and output of the unit-norm (in
     ``weights``) trial ``x``; ``reverse(out, eta)`` makes the next trial from
     that output.  Converged when the efficiency moves by less than ``tol`` and
-    the trial by less than ``mode_tol``.  A trial whose efficiency is not
-    finite and positive has nothing to reverse and raises ``ValueError``.
-    Returns the efficiencies, the last trial, the count and convergence.
+    the trial by less than ``mode_tol``.  The move is measured after the
+    global phase of the overlap <x, next> is taken out, since a cycle off
+    resonance turns that phase; the trials themselves are not rotated.  A
+    trial whose efficiency is not finite and positive has nothing to reverse
+    and raises ``ValueError``.  Returns the efficiencies, the last trial, the
+    count and convergence.
     """
     efficiencies: list[float] = []
     x = x0
@@ -109,7 +112,9 @@ def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
         efficiencies.append(eta)
         nxt = reverse(out, eta)
         nxt = nxt / math.sqrt(float(weights @ np.abs(nxt) ** 2))
-        move = math.sqrt(float(weights @ np.abs(nxt - x) ** 2))
+        overlap = complex(weights @ (np.conj(x) * nxt))
+        phase = overlap / abs(overlap) if overlap != 0 else 1.0
+        move = math.sqrt(float(weights @ np.abs(nxt - phase * x) ** 2))
         d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
         x = nxt
         if move < mode_tol and d_eta < tol:

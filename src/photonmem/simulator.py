@@ -27,6 +27,16 @@ is the same semi-discrete right-hand side with its terms grouped
 differently, so the balance above still holds exactly; only the
 floating-point rounding of each step moves.
 
+Each RK4 stage holds rows [P, S, C] with a ghost cell in front of every
+row.  Writing g = -i sqrt(d) E_in / beta into P's ghost cell makes one
+cumulative sum of that row give C + g, and -beta (C + g) is exactly
+-beta C + i sqrt(d) E_in, so one 2x3 product
+
+    [[alpha, i omega, -beta], [i conj(omega), 0, 0]] @ [P, S, C + g]
+
+gives dP and dS = i conj(omega) P at once, and i sqrt(d) dz (C + g)[-1] is
+the exit-face field.  The ghost column of that product is discarded.
+
 Time stepping is two-level.  The window is split into uniform coarse steps
 sized by the medium (detuning, optical depth) and by the sampling of the
 input and control, but not by the control's strength.  Each coarse step is
@@ -44,6 +54,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import fast as _fast
 from .core import (
@@ -78,6 +89,11 @@ DEFECT_TOL = 1e-4
 RING_DOWN_P_TOL = 1e-10
 RING_DOWN_MAX_TIME = 40.0
 MAX_STEPS = 20_000_000
+# RK4 steps per block of stage coefficients and per-stage records; the
+# integrator's scratch memory scales with this, not with the run length
+_STEP_BLOCK = 4096
+# steps between instability checks; divides _STEP_BLOCK
+_CHECK_EVERY = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,90 +209,113 @@ class _Integrator:
         """March n_steps of RK4; half-grid arrays hold the drive at stage times.
 
         ``dt`` is one step size for all steps or an array of per-step sizes.
-        (P, S) is one state array ``y = [P, S]``, and every stage works in
-        buffers allocated once per call.  The field profile never appears:
-        it is folded into the P equation (see the module docstring), so one
-        cumulative sum per stage gives both that term and the exit-face field.
+        Every stage works in one buffer allocated per call: the four stage
+        derivatives [dP, dS], then the four stage states [P, S, C] with the
+        ghost cell of the module docstring in column 0; stage 1's state is
+        y = [P, S] itself.  A stage is one cumulative sum, one 2x3 product
+        and one ``vdot`` for sum|P|^2; the next stage's state is one product
+        of [c, 1] with the rows [k, y].  The stage coefficients are built one
+        block of ``_STEP_BLOCK`` steps at a time, and the exit-face fields and
+        |P|^2 sums each stage records are reduced into the leaked energy, the
+        decayed energy and the output after each block.  The input energy
+        depends on the drive alone and comes from a cumulative sum, which is
+        also the injected budget of the growth check.
         """
         n, dz, sqrt_d = self.grid.n, self.dz, self.sqrt_d
+        m = n + 1
         alpha = self.decay_coeff + 0.5 * self.params.d * dz
         beta = self.params.d * dz
         dec_rate = 2.0 * self.damping * dz
-        y = np.empty(2 * n, dtype=complex)
-        y[:n] = p0
-        y[n:] = s0
-        ys = np.empty_like(y)
-        k1, k2, k3, k4, acc = (np.empty_like(y) for _ in range(5))
-        cs = np.empty(n, dtype=complex)
-        tmp = np.empty(n, dtype=complex)
-        y_ps, ys_ps = (y[:n], y[n:]), (ys[:n], ys[n:])
+        steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,))
+        e_half = np.asarray(e_in_half, dtype=complex)
+        w_half = np.asarray(om_half, dtype=complex)
 
-        def rhs(p_s, k, e, w):
-            """Write dy/dtau at state ``p_s`` into ``k``; return the exit-face
-            field and the decay rate 2 damping sum|P|^2 dz."""
-            p, s = p_s
-            kp, ks = k[:n], k[n:]
-            np.add.accumulate(p, out=cs)
-            e_end = e + 1j * sqrt_d * (cs[-1] * dz)
-            np.multiply(p, alpha, out=kp)
-            np.multiply(cs, beta, out=cs)
-            kp -= cs
-            kp += 1j * sqrt_d * e
-            np.multiply(s, 1j * w, out=tmp)
-            kp += tmp
-            np.multiply(p, 1j * w.conjugate(), out=ks)
-            return e_end, dec_rate * np.vdot(p, p).real
+        buf = np.zeros(20 * m, dtype=complex)
+        k = buf[: 8 * m].reshape(4, 2, m)
+        st = buf[8 * m:].reshape(4, 3, m)
+        y = st[0, :2]
+        y[0, 1:] = p0
+        y[1, 1:] = s0
+        cells = y[:, 1:]
+        # real views: the RK4 weights are real, and so act on re and im alike
+        real = buf.view(float)
+        k_real = real[: 16 * m].reshape(4, 4 * m)
+        y_real = real[16 * m: 20 * m]
+        acc_real = np.empty(4 * m)
+        stages = []
+        for s in range(4):
+            # stage s starts from y + c k[s - 1]: those two rows as one array
+            rows = None if s == 0 else as_strided(
+                real[4 * (s - 1) * m:], shape=(2, 4 * m),
+                strides=((20 - 4 * s) * m * real.itemsize, real.itemsize), writeable=False,
+            )
+            state = real[(16 + 6 * s) * m: (20 + 6 * s) * m]
+            stages.append((rows, state, st[s, 0], st[s, 2], st[s], k[s], st[s, 0, 1:]))
+        tail_view = st[:, 2, -1]
+        # stages 1-4 read the drive at half-grid points 2j, 2j + 1, 2j + 1, 2j + 2
+        stage_point = (0, 1, 1, 2)
+        rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
 
         acc_in = acc_leak = acc_dec = 0.0
-        n0 = dz * float(np.vdot(y, y).real)
+        n0 = dz * float(np.vdot(cells, cells).real)
         out = np.empty(n_steps + 1, dtype=complex) if record_output else None
-        e_half = np.asarray(e_in_half, dtype=complex).tolist()
-        w_half = np.asarray(om_half, dtype=complex).tolist()
-        check_every = 64
-        steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,)).tolist()
-        for k, dt in enumerate(steps):
-            e0, e1, e2 = e_half[2 * k], e_half[2 * k + 1], e_half[2 * k + 2]
-            w0, w1, w2 = w_half[2 * k], w_half[2 * k + 1], w_half[2 * k + 2]
-            f1, d1 = rhs(y_ps, k1, e0, w0)
-            np.multiply(k1, 0.5 * dt, out=ys)
-            ys += y
-            f2, d2 = rhs(ys_ps, k2, e1, w1)
-            np.multiply(k2, 0.5 * dt, out=ys)
-            ys += y
-            f3, d3 = rhs(ys_ps, k3, e1, w1)
-            np.multiply(k3, dt, out=ys)
-            ys += y
-            f4, d4 = rhs(ys_ps, k4, e2, w2)
-            np.add(k2, k3, out=acc)
-            acc *= 2.0
-            acc += k1
-            acc += k4
-            acc *= dt / 6.0
-            y += acc
-            acc_in += (dt / 6.0) * (abs(e0) ** 2 + 2.0 * abs(e1) ** 2 + 2.0 * abs(e1) ** 2
-                                    + abs(e2) ** 2)
-            acc_leak += (dt / 6.0) * (abs(f1) ** 2 + 2.0 * abs(f2) ** 2 + 2.0 * abs(f3) ** 2
-                                      + abs(f4) ** 2)
-            acc_dec += (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-            if record_output:
-                # the first stage of a step sees the state and drive of the
-                # previous step's end, so its exit-face field is that output
-                out[k] = f1
-            if (k + 1) % check_every == 0 or k == n_steps - 1:
-                n_now = dz * float(np.vdot(y, y).real)
+        dot, vdot, accumulate = np.dot, np.vdot, np.add.accumulate
+        for b0 in range(0, n_steps, _STEP_BLOCK):
+            h = steps[b0: b0 + _STEP_BLOCK]
+            e = e_half[2 * b0: 2 * (b0 + h.size) + 1]
+            w = w_half[2 * b0: 2 * (b0 + h.size) + 1]
+            coef = np.zeros((e.size, 2, 3), dtype=complex)
+            coef[:, 0, 0] = alpha
+            coef[:, 0, 1] = 1j * w
+            coef[:, 0, 2] = -beta
+            coef[:, 1, 0] = 1j * w.conj()
+            ghost = (-1j * sqrt_d / beta) * e
+            # stage s > 0 starts from y + (h/2, h/2, h) k[s - 1]
+            stage_c = np.ones((h.size, 4, 2))
+            stage_c[:, :, 0] = h[:, None] * [0.0, 0.5, 0.5, 1.0]
+            weights = (h / 6.0)[:, None] * rk4_weights
+            e2 = np.abs(e) ** 2
+            budget = acc_in + np.cumsum(weights[:, 0] * (e2[:-1:2] + 4.0 * e2[1::2] + e2[2::2]))
+            tails = np.empty((h.size, 4), dtype=complex)
+            sums = np.empty((h.size, 4), dtype=complex)
+            for c0 in range(0, h.size, _CHECK_EVERY):
+                c1 = min(c0 + _CHECK_EVERY, h.size)
+                for j in range(c0, c1):
+                    for s, (rows, state, p_row, c_row, psc, ks, p_cells) in enumerate(stages):
+                        if rows is not None:
+                            dot(stage_c[j, s], rows, out=state)
+                        i = 2 * j + stage_point[s]
+                        p_row[0] = ghost[i]
+                        accumulate(p_row, out=c_row)
+                        dot(coef[i], psc, out=ks)
+                        sums[j, s] = vdot(p_cells, p_cells)
+                    tails[j] = tail_view
+                    dot(weights[j], k_real, out=acc_real)
+                    y_real += acc_real
+                    # the ghost S gains i conj(omega) g h per step; keep it bounded
+                    y[1, 0] = 0.0
+                n_now = dz * float(np.vdot(cells, cells).real)
                 if not np.isfinite(n_now):
-                    tau = t0 + math.fsum(steps[: k + 1])
+                    tau = t0 + math.fsum(steps[: b0 + c1])
                     raise InstabilityError(
                         f"non-finite state at tau={tau:.3f}; reduce dtau"
                     )
                 # leaked/decayed energy never returns, so the excitation still
                 # in the medium can only exceed the injected budget through
                 # numerical blow-up
-                if self.damping >= 1.0 and n_now > n0 + acc_in + 1e-6:
+                if self.damping >= 1.0 and n_now > n0 + budget[c1 - 1] + 1e-6:
                     raise InstabilityError(
                         "excitation grew beyond the injected energy; reduce dtau"
                     )
-        p, s = y_ps
+            fields = (1j * sqrt_d * dz) * tails
+            acc_in = float(budget[-1])
+            acc_leak += float(np.sum(weights * np.abs(fields) ** 2))
+            acc_dec += dec_rate * float(np.sum(weights * sums.real))
+            if record_output:
+                # the first stage of a step sees the state and drive of the
+                # previous step's end, so its exit-face field is that output
+                out[b0: b0 + h.size] = fields[:, 0]
+        p, s = y[0, 1:], y[1, 1:]
         if record_output:
             out[n_steps] = self.field_profile(p, e_half[2 * n_steps])[1]
         return p, s, out, acc_in, acc_leak, acc_dec, n0

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from photonmem import (
     EnsembleState,
@@ -60,6 +63,29 @@ class TestRetrieveFast:
         assert t90[10.0] > t90[30.0] > t90[100.0]
         slope = np.polyfit(np.log([10.0, 30.0, 100.0]), np.log([t90[d] for d in (10.0, 30.0, 100.0)]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.3)
+
+    def test_row_blocks_match_one_shot_quadrature(self, gauss_grid):
+        s = SpinWave(grid=gauss_grid, samples=smooth_test_wave(gauss_grid, 1) * (1.0 + 0.5j))
+        for d in (30.0, 100.0):  # 3,601 and 12,001 output times
+            grid = recommended_fast_grid(d)
+            tau = grid.times - grid.tau0
+            arg = 2.0 * np.sqrt(np.outer(d * tau, gauss_grid.nodes))
+            quad = j0(arg) @ (gauss_grid.weights * s.samples[::-1])
+            want = -np.sqrt(d) * np.exp(-tau) * quad
+            assert np.array_equal(retrieve_fast(s, d, grid).samples, want)
+
+    def test_memory_bounded_at_large_depth(self, gauss_grid):
+        # 36,001 output times x 200 nodes: the one-shot quadrature held
+        # about 220 MB of temporaries
+        s = SpinWave(grid=gauss_grid, samples=smooth_test_wave(gauss_grid, 0))
+        grid = recommended_fast_grid(300.0)
+        tracemalloc.start()
+        try:
+            retrieve_fast(s, 300.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_domain_checks(self, gauss_grid):
         s = SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n))

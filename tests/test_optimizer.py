@@ -161,6 +161,19 @@ class TestForwardComposite:
             assert trace.efficiencies[-1] == pytest.approx(oracle, abs=1e-4)
             assert np.all(np.diff(trace.efficiencies) >= -MONOTONE_SLACK)
 
+    @pytest.mark.parametrize("delta", [5.0, -5.0])
+    def test_converges_off_resonance(self, reference_input, delta):
+        # each cycle turns the trial's global phase off resonance; the mode
+        # move is measured with that phase taken out
+        _, trace = optimize_storage_retrieval(10.0, reference_input, "forward", delta=delta)
+        assert trace.converged
+        assert trace.iterations < 100
+        _, long = optimize_storage_retrieval(
+            10.0, reference_input, "forward", delta=delta, tol=0.0, max_iter=500
+        )
+        assert long.iterations == 500 and not long.converged
+        assert trace.efficiencies[-1] == pytest.approx(long.efficiencies[-1], abs=1e-8)
+
     def test_strictly_below_backward(self, reference_input, optimal_modes):
         _, eta = optimal_modes[10.0]
         _, trace = optimize_storage_retrieval(10.0, reference_input, "forward")

@@ -525,3 +525,60 @@ class TestFusedStep:
         zeros = np.zeros(2 * n_steps + 1, dtype=complex)
         with pytest.raises(InstabilityError, match="excitation grew beyond the injected energy"):
             integ.run(p0, p0, 0.0, 0.05, n_steps, zeros, zeros, record_output=False)
+
+    @staticmethod
+    def _driven_case(n_zeta, n_steps, seed, dt):
+        rng = np.random.default_rng(seed)
+        p0 = 0.3 * (rng.normal(size=n_zeta) + 1j * rng.normal(size=n_zeta))
+        s0 = rng.normal(size=n_zeta) + 1j * rng.normal(size=n_zeta)
+        t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+        e_half = (0.8 + 0.3j) * np.sin(3.0 * t) + 0.2j
+        om_half = (1.5 - 0.7j) * np.exp(-t) + 0.4
+        return p0, s0, 0.5, dt, n_steps, e_half, om_half
+
+    @staticmethod
+    def _assert_matches_reference(params, n_zeta, args):
+        fused = _Integrator(params, n_zeta).run(*args)
+        ref = _ReferenceIntegrator(params, n_zeta).run(*args)
+        for name, a, b in zip(("p", "s", "out", "acc_in", "acc_leak", "acc_dec", "n0"), fused, ref):
+            if b is None:
+                assert a is None, name
+                continue
+            assert np.shape(a) == np.shape(b), name
+            assert _max_abs(np.subtract(a, b)) <= FUSED_REL_TOL * _max_abs(b), name
+        return fused
+
+    @pytest.mark.parametrize("d", [1e-3, 300.0])
+    def test_extreme_depths_with_drive(self, d):
+        # the drive enters through the ghost cell as -i sqrt(d) e / beta, so
+        # the smallest and largest beta = d dz bound the rounding it adds
+        n_zeta = 128
+        args = self._driven_case(n_zeta, 200, 3, 0.002)
+        self._assert_matches_reference(MediumParams(d=d, delta=7.0), n_zeta, args)
+
+    def test_ring_down_shape(self):
+        # the ring-down's drives: control and input both off
+        n_zeta, n_steps = 256, 250
+        p0, s0, *_ = self._driven_case(n_zeta, n_steps, 4, 0.02)
+        zeros = np.zeros(2 * n_steps + 1, dtype=complex)
+        args = (p0, s0, 0.0, 0.02, n_steps, zeros, zeros, False)
+        _, s, *_ = self._assert_matches_reference(MediumParams(d=30.0, delta=3.0), n_zeta, args)
+        assert np.array_equal(s, s0)
+
+    def test_run_longer_than_one_block(self):
+        n_zeta, n_steps = 64, simulator._STEP_BLOCK + 37
+        dt = np.random.default_rng(6).uniform(0.001, 0.003, n_steps)
+        args = self._driven_case(n_zeta, n_steps, 6, dt)
+        self._assert_matches_reference(MediumParams(d=10.0, delta=5.0), n_zeta, args)
+
+    def test_leaves_inputs_unmodified_and_repeats(self):
+        n_zeta = 128
+        args = self._driven_case(n_zeta, 150, 7, 0.01)
+        before = [np.copy(a) for a in args]
+        integ = _Integrator(MediumParams(d=10.0, delta=30.0), n_zeta)
+        first = integ.run(*args)
+        second = integ.run(*args)
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
