@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .core import (
     ControlField,
+    FieldMode,
     MediumParams,
     PhotonMemError,
     SpaceGrid,
@@ -70,6 +71,16 @@ _KEY_SPECS = {
     "max_iter": (int, 500),
 }
 
+# key: the commands that take it as a --flag (None: every command), in --help order
+_FLAGS = {
+    "d": None, "delta": None, "out": None, "jobs": None, "tol": None,
+    "d_min": ("curves",), "d_max": ("curves",), "d_points": ("curves",),
+    "input_T": ("shape-controls", "curves", "simulate"),
+    "control": ("simulate",), "retrieve": ("simulate",),
+    "init": ("iterate",), "seed": ("iterate",), "omega": ("iterate",),
+}
+_FLAG_HELP = {"d": "comma-separated depth list", "out": "output directory"}
+
 
 class RunConfig:
     """Typed, validated parameters for one command invocation."""
@@ -92,14 +103,11 @@ class RunConfig:
         self._validate()
 
     def _validate(self):
-        for key in ("jobs", "gauss_nodes", "n_zeta", "input_n", "d_points", "max_iter"):
-            if getattr(self, key) <= 0:
+        for key in ("jobs", "gauss_nodes", "n_zeta", "input_n", "d_points", "max_iter",
+                    "tol", "input_T", "d_min", "d_max", "h_max"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
                 raise ConfigError(f"key '{key}' must be positive")
-        for key in ("tol", "input_T", "d_min", "d_max"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"key '{key}' must be positive")
-        if self.h_max is not None and self.h_max <= 0:
-            raise ConfigError("key 'h_max' must be positive")
         if self.d_max < self.d_min:
             raise ConfigError("key 'd_max' must be >= d_min")
         if self.retrieve not in ("none", "backward", "forward"):
@@ -132,6 +140,10 @@ class RunConfig:
             raise ConfigError(f"key 'd' must give a single depth here, got {self.d!r}")
         return vals[0]
 
+    def reference_input(self) -> FieldMode:
+        """The reference input pulse, sampled at ``input_n`` times on [0, input_T]."""
+        return make_reference_input(self.input_T, TimeGrid.linspace(0, self.input_T, self.input_n))
+
 
 def parse_config_file(path: Path) -> dict:
     values = {}
@@ -150,29 +162,12 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     rows = len(columns[0])
     lines = [",".join(header)]
     for i in range(rows):
-        lines.append(",".join(_fmt(float(col[i])) for col in columns))
+        lines.append(",".join(f"{float(col[i]):.17g}" for col in columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _metadata(cfg: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "grids": {"gauss_nodes": cfg.gauss_nodes, "n_zeta": cfg.n_zeta,
-                  "input_T": cfg.input_T, "input_n": cfg.input_n},
-        "tolerances": {"tol": cfg.tol},
-    }
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -184,7 +179,7 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_optimal_spinwave(cfg: RunConfig) -> int:
+def cmd_optimal_spinwave(cfg: RunConfig) -> tuple:
     from .kernel import optimal_spin_wave
 
     files = cfg.depth_files("spinwave")
@@ -193,28 +188,19 @@ def cmd_optimal_spinwave(cfg: RunConfig) -> int:
     results = []
     for d, name in files:
         mode, eta = optimal_spin_wave(d, grid)
-        _write_csv(
-            out / name,
-            ["zeta", "S"],
-            [grid.nodes, mode.samples.real],
-        )
+        _write_csv(out / name, ["zeta", "S"], [grid.nodes, mode.samples.real])
         # a dense solve; the key stays so that readers of the summary keep working
         results.append({"d": d, "eta_r_max": eta, "iterations": 0})
-    _write_json(
-        out / "optimal_spinwave_summary.json",
-        {"command": "optimal-spinwave", "params": {"d": cfg.d_list()},
-         "results": results, "metadata": _metadata(cfg)},
-    )
-    return 0
+    return {"d": cfg.d_list()}, results, ()
 
 
-def cmd_shape_controls(cfg: RunConfig) -> int:
+def cmd_shape_controls(cfg: RunConfig) -> tuple:
     from .adiabatic import optimal_storage_control
 
     files = cfg.depth_files("control")
     out = _outdir(cfg)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
-    input_mode = make_reference_input(cfg.input_T, TimeGrid.linspace(0, cfg.input_T, cfg.input_n))
+    input_mode = cfg.reference_input()
     results = []
     for d, name in files:
         params = MediumParams(d=d, delta=cfg.delta)
@@ -232,13 +218,7 @@ def cmd_shape_controls(cfg: RunConfig) -> int:
             "truncation_loss": res.shaping.truncation_loss,
             "h_max": res.shaping.h_max,
         })
-    _write_json(
-        out / "shape_controls_summary.json",
-        {"command": "shape-controls",
-         "params": {"d": cfg.d_list(), "delta": cfg.delta, "input_T": cfg.input_T},
-         "results": results, "metadata": _metadata(cfg)},
-    )
-    return 0
+    return {"d": cfg.d_list(), "delta": cfg.delta, "input_T": cfg.input_T}, results, ()
 
 
 def _curve_point(task: tuple) -> dict:
@@ -252,7 +232,7 @@ def _curve_point(task: tuple) -> dict:
     _, eta_max = optimal_spin_wave(d, grid)
     eta_back = eta_max**2
     eta_forw = forward_max_efficiency(d, grid)
-    input_mode = make_reference_input(input_T, TimeGrid.linspace(0, input_T, input_n))
+    input_mode = RunConfig({"input_T": input_T, "input_n": input_n}).reference_input()
     omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
     ctrl = ControlField(
         grid=input_mode.grid,
@@ -275,7 +255,7 @@ def _curve_point_or_error(task: tuple) -> dict:
                 "eta_square": math.nan, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def cmd_curves(cfg: RunConfig) -> int:
+def cmd_curves(cfg: RunConfig) -> tuple:
     out = _outdir(cfg)
     ds = np.geomspace(cfg.d_min, cfg.d_max, cfg.d_points)
     tasks = [
@@ -287,7 +267,7 @@ def cmd_curves(cfg: RunConfig) -> int:
             points = list(pool.map(_curve_point_or_error, tasks))
     else:
         points = [_curve_point_or_error(t) for t in tasks]
-    failed = [p for p in points if "error" in p]
+    failed = tuple(p for p in points if "error" in p)
     for p in failed:
         print(f"warning: d={p['d']:g} failed: {p['error']}", file=sys.stderr)
     _write_csv(
@@ -295,14 +275,9 @@ def cmd_curves(cfg: RunConfig) -> int:
         ["d", "eta_back", "eta_forw", "eta_square"],
         [np.array([p[k] for p in points]) for k in ("d", "eta_back", "eta_forw", "eta_square")],
     )
-    _write_json(
-        out / "curves_summary.json",
-        {"command": "curves",
-         "params": {"d_min": cfg.d_min, "d_max": cfg.d_max, "d_points": cfg.d_points,
-                    "delta": cfg.delta, "input_T": cfg.input_T},
-         "results": points, "metadata": _metadata(cfg)},
-    )
-    return 2 if failed else 0
+    params = {"d_min": cfg.d_min, "d_max": cfg.d_max, "d_points": cfg.d_points,
+              "delta": cfg.delta, "input_T": cfg.input_T}
+    return params, points, failed
 
 
 def _parse_piecewise_control(spec: str, grid: TimeGrid, key: str) -> ControlField:
@@ -331,62 +306,49 @@ def _parse_piecewise_control(spec: str, grid: TimeGrid, key: str) -> ControlFiel
     return ControlField(grid=grid, samples=re + 1j * im)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _write_mode_csv(path: Path, mode: FieldMode):
+    _write_csv(path, ["tau", "re_E", "im_E"],
+               [mode.grid.times, mode.samples.real, mode.samples.imag])
+
+
+def cmd_simulate(cfg: RunConfig) -> tuple:
     from .simulator import energy_audit, simulate_retrieval, simulate_storage
 
     out = _outdir(cfg)
     params = MediumParams(d=cfg.depth(), delta=cfg.delta)
-    input_mode = make_reference_input(cfg.input_T, TimeGrid.linspace(0, cfg.input_T, cfg.input_n))
+    input_mode = cfg.reference_input()
     ctrl = _parse_piecewise_control(cfg.control, input_mode.grid, "control")
     run = simulate_storage(input_mode, ctrl, params, n_zeta=cfg.n_zeta)
-    audit = energy_audit(run)
-    _write_csv(
-        out / "output_mode.csv",
-        ["tau", "re_E", "im_E"],
-        [run.output_mode.grid.times, run.output_mode.samples.real, run.output_mode.samples.imag],
-    )
-    summary = {
-        "command": "simulate",
-        "params": {"d": params.d, "delta": params.delta, "input_T": cfg.input_T,
-                   "control": cfg.control},
-        "results": {
-            "storage": {
-                "eta_storage": run.breakdown.eta_storage,
-                "leak_fraction": run.breakdown.leak_fraction,
-                "decay_fraction": run.breakdown.decay_fraction,
-                "residual_fraction": run.breakdown.residual_fraction,
-                "audit_defect": audit.defect,
-            }
-        },
-        "metadata": _metadata(cfg),
+    _write_mode_csv(out / "output_mode.csv", run.output_mode)
+    results = {
+        "storage": {
+            "eta_storage": run.breakdown.eta_storage,
+            "leak_fraction": run.breakdown.leak_fraction,
+            "decay_fraction": run.breakdown.decay_fraction,
+            "residual_fraction": run.breakdown.residual_fraction,
+            "audit_defect": energy_audit(run).defect,
+        }
     }
     if cfg.retrieve != "none":
         stored = SpinWave(grid=run.final_state.grid, samples=run.final_state.S)
         rspec = cfg.retrieval_control or cfg.control
-        rgrid = TimeGrid.linspace(0.0, cfg.input_T, cfg.input_n)
-        rctrl = _parse_piecewise_control(rspec, rgrid, "retrieval_control")
+        rctrl = _parse_piecewise_control(rspec, input_mode.grid, "retrieval_control")
         rrun = simulate_retrieval(stored, rctrl, params, direction=cfg.retrieve,
                                   n_zeta=cfg.n_zeta)
-        raudit = energy_audit(rrun)
-        _write_csv(
-            out / "retrieved_mode.csv",
-            ["tau", "re_E", "im_E"],
-            [rrun.output_mode.grid.times, rrun.output_mode.samples.real,
-             rrun.output_mode.samples.imag],
-        )
-        summary["results"]["retrieval"] = {
+        _write_mode_csv(out / "retrieved_mode.csv", rrun.output_mode)
+        results["retrieval"] = {
             "direction": cfg.retrieve,
             "eta_retrieval": rrun.breakdown.eta_retrieval,
             "eta_total": run.breakdown.eta_storage * rrun.breakdown.eta_retrieval,
             "decay_fraction": rrun.breakdown.decay_fraction,
             "residual_fraction": rrun.breakdown.residual_fraction,
-            "audit_defect": raudit.defect,
+            "audit_defect": energy_audit(rrun).defect,
         }
-    _write_json(out / "simulate_summary.json", summary)
-    return 0
+    return ({"d": params.d, "delta": params.delta, "input_T": cfg.input_T,
+             "control": cfg.control}, results, ())
 
 
-def cmd_iterate(cfg: RunConfig) -> int:
+def cmd_iterate(cfg: RunConfig) -> tuple:
     from .optimizer import completing_control, iterate_retrieval
 
     out = _outdir(cfg)
@@ -410,17 +372,13 @@ def cmd_iterate(cfg: RunConfig) -> int:
         ["zeta", "re_S", "im_S"],
         [grid.nodes, trace.final_mode.samples.real, trace.final_mode.samples.imag],
     )
-    _write_json(
-        out / "iterate_summary.json",
-        {"command": "iterate",
-         "params": {"d": d, "delta": cfg.delta, "init": cfg.init, "seed": cfg.seed},
-         "results": {"efficiencies": list(map(float, trace.efficiencies)),
-                     "iterations": trace.iterations, "converged": trace.converged},
-         "metadata": _metadata(cfg)},
-    )
-    return 0
+    results = {"efficiencies": list(map(float, trace.efficiencies)),
+               "iterations": trace.iterations, "converged": trace.converged}
+    return {"d": d, "delta": cfg.delta, "init": cfg.init, "seed": cfg.seed}, results, ()
 
 
+# each command writes its CSVs and returns (params, results, failed) for main's summary;
+# ``failed`` lists the results of failed points, which make the run exit 2
 _COMMANDS = {
     "optimal-spinwave": cmd_optimal_spinwave,
     "shape-controls": cmd_shape_controls,
@@ -442,28 +400,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="flat key=value file")
-        p.add_argument("--d", type=str, default=None, help="comma-separated depth list")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        if name == "curves":
-            p.add_argument("--d-min", dest="d_min", type=float, default=None)
-            p.add_argument("--d-max", dest="d_max", type=float, default=None)
-            p.add_argument("--d-points", dest="d_points", type=int, default=None)
-        if name in ("shape-controls", "curves", "simulate"):
-            p.add_argument("--input-T", dest="input_T", type=float, default=None)
-        if name == "simulate":
-            p.add_argument("--control", type=str, default=None)
-            p.add_argument("--retrieve", type=str, default=None)
-        if name == "iterate":
-            p.add_argument("--init", type=str, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--omega", type=float, default=None)
+        for key, commands in _FLAGS.items():
+            if commands is None or name in commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_SPECS[key][0],
+                               default=None, help=_FLAG_HELP.get(key))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; write its summary JSON and return the exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -473,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         values = {}
         if args.config:
             values.update(parse_config_file(Path(args.config)))
-        for key in _KEY_SPECS:
+        for key in _FLAGS:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
@@ -484,13 +429,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](cfg)
+        params, results, failed = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (PhotonMemError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    summary = {
+        "command": args.command,
+        "params": params,
+        "results": results,
+        "metadata": {
+            "version": __version__,
+            "grids": {"gauss_nodes": cfg.gauss_nodes, "n_zeta": cfg.n_zeta,
+                      "input_T": cfg.input_T, "input_n": cfg.input_n},
+            "tolerances": {"tol": cfg.tol},
+        },
+    }
+    path = Path(cfg.out) / f"{args.command.replace('-', '_')}_summary.json"
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

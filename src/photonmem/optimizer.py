@@ -129,7 +129,6 @@ def iterate_retrieval(
     tol: float = 1e-8,
     max_iter: int = 500,
     method: str = "adiabatic",
-    mode_tol: float | None = None,
     delta: float = 0.0,
     n_zeta: int = 256,
 ) -> IterationTrace:
@@ -141,14 +140,12 @@ def iterate_retrieval(
     closed-form maps; ``"simulate"`` runs the full equations both ways.
     Efficiency is read off as the output energy of each (normalized) trial;
     convergence requires the efficiency change below ``tol`` and the mode
-    movement below ``mode_tol`` (default sqrt(tol)).  Non-convergence is
+    movement below sqrt(tol).  Non-convergence is
     reported in the trace, not raised; a trial that retrieves nothing
     raises ``ValueError``.
     """
     if method not in ("adiabatic", "simulate"):
         raise ValueError(f"unknown method {method!r}")
-    if mode_tol is None:
-        mode_tol = math.sqrt(tol)
     params = MediumParams(d=d, delta=delta)
 
     if method == "adiabatic":
@@ -174,9 +171,10 @@ def iterate_retrieval(
         )
 
         def run(samples):
+            # the trial is in the retrieval frame, which forward retrieval takes as is
             e = simulate_retrieval(
-                flip(SpinWave(grid=sigma.grid, samples=samples)), ctrl, params,
-                direction="backward", n_zeta=n_zeta,
+                SpinWave(grid=sigma.grid, samples=samples), ctrl, params,
+                direction="forward", n_zeta=n_zeta,
             ).output_mode
             return mode_norm2(e), e
 
@@ -187,7 +185,7 @@ def iterate_retrieval(
             return st.final_state.S[::-1]  # flip back into the retrieval frame
 
     efficiencies, x, iterations, converged = _time_reversal_loop(
-        run, reverse, sigma.samples, sigma.grid.weights, tol, mode_tol, max_iter
+        run, reverse, sigma.samples, sigma.grid.weights, tol, math.sqrt(tol), max_iter
     )
     return IterationTrace(
         efficiencies=efficiencies,

@@ -94,6 +94,8 @@ MAX_STEPS = 20_000_000
 _STEP_BLOCK = 4096
 # steps between instability checks; divides _STEP_BLOCK
 _CHECK_EVERY = 64
+# RK4 steps across a finite pi pulse
+_PI_PULSE_STEPS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,7 +578,6 @@ def apply_finite_pi_pulse(
     state: EnsembleState,
     params: MediumParams,
     omega0: float,
-    n_substeps: int = 256,
 ):
     """Drive a constant resonant control of quarter-period area through the
     full equations.  Approaches the ideal swap as ``omega0`` grows."""
@@ -584,11 +585,11 @@ def apply_finite_pi_pulse(
         raise ValueError("pulse strength must be positive")
     integ = _Integrator(params, state.grid.n)
     duration = 0.5 * math.pi / omega0
-    dt = duration / n_substeps
-    e_half = np.zeros(2 * n_substeps + 1, dtype=complex)
-    om_half = np.full(2 * n_substeps + 1, omega0, dtype=complex)
+    dt = duration / _PI_PULSE_STEPS
+    e_half = np.zeros(2 * _PI_PULSE_STEPS + 1, dtype=complex)
+    om_half = np.full(2 * _PI_PULSE_STEPS + 1, omega0, dtype=complex)
     p, s, _, _, leak, dec, _ = integ.run(
-        state.P, state.S, state.tau, dt, n_substeps, e_half, om_half, record_output=False
+        state.P, state.S, state.tau, dt, _PI_PULSE_STEPS, e_half, om_half, record_output=False
     )
     new = replace(state, E=integ.field_profile(p, 0.0)[0], P=p, S=s, tau=state.tau + duration)
     return new, leak, dec

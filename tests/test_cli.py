@@ -316,3 +316,41 @@ class TestExitCodes:
         assert main(["optimal-spinwave", "--config", str(cfg), "--d", "7", "--out", str(out)]) == 0
         summary = json.loads((out / "optimal_spinwave_summary.json").read_text())
         assert summary["results"][0]["d"] == 7.0
+
+
+# the --flags each command took when every parser branch was written by hand,
+# besides --config, --d, --delta, --out, --jobs and --tol, which all take
+_OWN_FLAGS = {
+    "optimal-spinwave": {},
+    "shape-controls": {"--input-T": "10"},
+    "curves": {"--d-min": "1", "--d-max": "2", "--d-points": "2", "--input-T": "10"},
+    "simulate": {"--input-T": "10", "--control": "0:1", "--retrieve": "none"},
+    "iterate": {"--init": "flat", "--seed": "0", "--omega": "0"},
+}
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+def test_every_summary_has_one_envelope_and_its_own_flags(tmp_path, command):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("gauss_nodes = 60\nn_zeta = 64\ninput_T = 10\ninput_n = 401\ntol = 1e-6\n")
+    own = [arg for flag, value in _OWN_FLAGS[command].items() for arg in (flag, value)]
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--d", "2", "--delta", "0", "--jobs", "1",
+               "--tol", "1e-6", *own, "--out", str(out)])
+    assert rc == 0
+    name = f"{command.replace('-', '_')}_summary.json"
+    assert [p.name for p in out.glob("*_summary.json")] == [name]
+    summary = json.loads((out / name).read_text())
+    assert sorted(summary) == ["command", "metadata", "params", "results"]
+    assert summary["command"] == command
+    assert summary["metadata"] == {
+        "version": photonmem.__version__,
+        "grids": {"gauss_nodes": 60, "n_zeta": 64, "input_T": 10.0, "input_n": 401},
+        "tolerances": {"tol": 1e-6},
+    }
+    # another command's own flag is refused before anything runs
+    for flags in _OWN_FLAGS.values():
+        for flag, value in flags.items():
+            if flag not in _OWN_FLAGS[command]:
+                assert main([command, flag, value, "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()

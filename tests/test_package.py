@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -32,3 +33,39 @@ def test_bare_import_binds_submodules():
 def test_every_export_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _scipy_linalg_imports(source: str) -> list[int]:
+    """Lines of the import statements in ``source`` that bind scipy.linalg."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import scipy.linalg", [1]),
+    ("import numpy\nimport scipy.linalg as sl", [2]),
+    ("from scipy.linalg import eigh", [1]),
+    ("from scipy.linalg.lapack import dsyev", [1]),
+    ("def f():\n    from scipy import linalg", [2]),
+    ('"""Uses ``scipy.linalg``."""\nfrom scipy.interpolate import CubicSpline', []),
+])
+def test_scipy_linalg_detector(source, found):
+    assert _scipy_linalg_imports(source) == found
+
+
+def test_no_module_imports_scipy_linalg():
+    # scipy links its own OpenBLAS with its own thread pool; every dense solve
+    # goes through numpy so that the two pools do not contend
+    src = Path(photonmem.__file__).resolve().parent
+    found = {p.name: _scipy_linalg_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
