@@ -247,6 +247,14 @@ def _trapezoid_weights(g: TimeGrid) -> np.ndarray:
     return w
 
 
+def _real_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v, as two real products when a real ``a`` meets a complex ``v``,
+    so that ``a`` is never copied to complex."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(v):
+        return a @ v
+    return a @ v.real + 1j * (a @ v.imag)
+
+
 def mode_norm2(mode: FieldMode) -> float:
     """Trapezoid value of the time integral of |samples|^2."""
     return float(np.trapezoid(np.abs(mode.samples) ** 2, dx=mode.grid.dtau))
@@ -302,13 +310,17 @@ def resample_spinwave(s: SpinWave, grid: SpaceGrid) -> SpinWave:
     """Interpolate a spin wave onto another grid.
 
     Gauss-type sources use barycentric polynomial interpolation (stable for
-    endpoint-clustered nodes); uniform sources use a cubic spline, since a
-    global polynomial through equispaced points is ill-conditioned.
+    endpoint-clustered nodes) with the closed-form Gauss-Legendre weights
+    (-1)^j sqrt(zeta_j (1 - zeta_j) w_j), so the result does not depend on
+    a node ordering drawn at random; uniform sources use a cubic spline,
+    since a global polynomial through equispaced points is ill-conditioned.
     """
     from scipy.interpolate import BarycentricInterpolator, CubicSpline
 
     if s.grid.kind == "gauss":
-        interp = BarycentricInterpolator(s.grid.nodes, s.samples)
+        z = s.grid.nodes
+        wi = (-1.0) ** np.arange(z.size) * np.sqrt(z * (1.0 - z) * s.grid.weights)
+        interp = BarycentricInterpolator(z, s.samples, wi=wi)
         vals = np.asarray(interp(grid.nodes), dtype=complex)
     else:
         spline = CubicSpline(s.grid.nodes, s.samples, bc_type="natural")

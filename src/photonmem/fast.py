@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import j0
 
-from .core import FieldMode, SpaceGrid, SpinWave, TimeGrid, time_reverse
+from .core import FieldMode, SpaceGrid, SpinWave, TimeGrid, _real_matvec, time_reverse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import EnsembleState
@@ -72,7 +72,7 @@ def retrieve_fast(s: SpinWave, d: float, grid: TimeGrid) -> FieldMode:
     quad = np.empty(tau.size, dtype=np.result_type(weights, float))
     for r0 in range(0, tau.size, _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)
-        quad[rows] = j0(2.0 * np.sqrt(np.outer(d * tau[rows], z))) @ weights
+        quad[rows] = _real_matvec(j0(2.0 * np.sqrt(np.outer(d * tau[rows], z))), weights)
     out = -math.sqrt(d) * np.exp(-tau) * quad
     return FieldMode(grid=grid, samples=out)
 

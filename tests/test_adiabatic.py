@@ -29,11 +29,14 @@ from photonmem import (
 from photonmem.adiabatic import (
     DecayFunction,
     _bracket_matrix,
+    _emission_matrix,
     _emission_profile,
     default_h_max,
     storage_matrix,
 )
 from photonmem.core import _trapezoid_weights
+
+from conftest import smooth_test_wave
 
 
 def constant_control(omega, T, n=2001):
@@ -160,6 +163,39 @@ class TestBracket:
         shape_retrieval_control(s, target, MediumParams(d=100.0, delta=30.0))
         elements = (4001 + target.grid.n) * s.grid.n
         assert 0 < sum(counted) < 0.02 * elements
+
+    def test_raman_shaping_takes_no_complex_exp_per_element(
+        self, monkeypatch, optimal_modes, reference_input
+    ):
+        # a guard without timing: the bracket's phase is a row factor times a
+        # node factor, so complex exponentials scale with rows plus nodes
+        counted = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                if np.iscomplexobj(x):
+                    counted.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(adiabatic, "np", CountingNumpy())
+        s, _ = optimal_modes[100.0]
+        target = time_reverse(reference_input)
+        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=30.0))
+        elements = (4001 + target.grid.n) * s.grid.n
+        assert 0 < sum(counted) < 0.02 * elements
+
+    @pytest.mark.parametrize("d, delta", STORAGE_CASES)
+    def test_emission_profile_matches_emission_matrix(self, d, delta, gauss_grid):
+        params = MediumParams(d=d, delta=delta)
+        s = SpinWave(grid=gauss_grid, samples=smooth_test_wave(gauss_grid, 1) * (1.0 - 0.7j))
+        h = shaping_rows(params)
+        q = _emission_profile(h, s, params)
+        ref = _emission_matrix(h, gauss_grid, params) @ s.samples
+        assert np.max(np.abs(q - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestRetrieveAdiabatic:

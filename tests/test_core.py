@@ -178,6 +178,19 @@ class TestResample:
         s2 = resample_spinwave(s, uniform_grid)
         assert spinwave_norm2(s2) == pytest.approx(spinwave_norm2(s), abs=1e-5)
 
+    def test_gauss_resampling_is_bit_reproducible(self, uniform_grid, optimal_modes):
+        s, _ = optimal_modes[100.0]
+        first = resample_spinwave(s, uniform_grid).samples
+        assert np.array_equal(resample_spinwave(s, uniform_grid).samples, first)
+
+    def test_gauss_resampling_reproduces_polynomials(self, gauss_grid, uniform_grid):
+        def poly(z):
+            return (1.0 - 2.0j) * z**7 - 3.0 * z**4 + 0.5j * z + 2.0
+
+        s = SpinWave(grid=gauss_grid, samples=poly(gauss_grid.nodes))
+        got = resample_spinwave(s, uniform_grid).samples
+        assert np.max(np.abs(got - poly(uniform_grid.nodes))) < 1e-13
+
 
 def test_normalized_mode_rejects_zero():
     g = TimeGrid.linspace(0.0, 1.0, 16)

@@ -65,6 +65,9 @@ class TestRetrieveFast:
         assert slope == pytest.approx(-1.0, abs=0.3)
 
     def test_row_blocks_match_one_shot_quadrature(self, gauss_grid):
+        # a complex wave: each real Bessel block meets the real and imaginary
+        # weights in two real products, which round differently from the one
+        # complex product
         s = SpinWave(grid=gauss_grid, samples=smooth_test_wave(gauss_grid, 1) * (1.0 + 0.5j))
         for d in (30.0, 100.0):  # 3,601 and 12,001 output times
             grid = recommended_fast_grid(d)
@@ -72,7 +75,8 @@ class TestRetrieveFast:
             arg = 2.0 * np.sqrt(np.outer(d * tau, gauss_grid.nodes))
             quad = j0(arg) @ (gauss_grid.weights * s.samples[::-1])
             want = -np.sqrt(d) * np.exp(-tau) * quad
-            assert np.array_equal(retrieve_fast(s, d, grid).samples, want)
+            got = retrieve_fast(s, d, grid).samples
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_memory_bounded_at_large_depth(self, gauss_grid):
         # 36,001 output times x 200 nodes: the one-shot quadrature held
