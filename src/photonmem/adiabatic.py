@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.special import i0e, ive
+from scipy.special import ive
 
 from .core import (
     ControlField,
@@ -36,7 +36,6 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
-    _real_matvec,
     _trapezoid_weights,
     mode_norm2,
     time_reverse,
@@ -102,15 +101,16 @@ def default_h_max(params: MediumParams) -> float:
     return (math.sqrt(params.d) + math.sqrt(10.0 * (1.0 + params.delta**2))) ** 2 + 10.0
 
 
-# Off resonance every Bessel argument 2 sqrt(h d zeta)/(1 + i delta) of the
-# bracket lies on the ray t e^{-i phi}, phi = arctan(delta).  The scaled I0
-# along it is tabulated once per call as Taylor coefficients of order
-# _RAY_ORDER at the nodes t_k = k * _RAY_STEP.  At |t - t_k| <= 1/32 the
+# Every Bessel argument 2 sqrt(h d zeta)/(1 + i delta) of the bracket lies
+# on the ray t e^{-i phi}, phi = arctan(delta): the real axis on resonance.
+# The scaled I0 along it is tabulated once per call as Taylor coefficients of
+# order _RAY_ORDER at the nodes t_k = k * _RAY_STEP.  At |t - t_k| <= 1/32 the
 # truncation error is (1/32)^9 / 9! ~ 8e-20 times the scale of the ninth
 # derivative, which along the ray is of the order of the scaled I0 itself.
 _RAY_STEP = 1.0 / 16.0
 _RAY_ORDER = 8
 _RAY_BLOCK = 64  # rows per evaluation block, sized to stay in cache
+_ENERGY_ROWS = 4001  # sqrt(h) samples of the shaping's energy table
 
 
 def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
@@ -142,12 +142,10 @@ def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
 def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np.ndarray:
     """exp(-(d z + h)/(1+i delta)) * I0(2 sqrt(d z h)/(1+i delta)), stably.
 
-    On resonance (delta == 0) the Bessel argument is real and the bracket is
-    returned as the real array i0e(2 sqrt(h) sqrt(d z)) * exp(-(sqrt(d z) -
-    sqrt(h))^2), the same identity as :func:`~photonmem.kernel.kernel_eval`.
-    Off resonance the argument is t e^{-i phi} with t = 2 sqrt(d z h) /
-    sqrt(1 + delta^2); each element is a Horner step in t - t_k on the table
-    of :func:`_ray_taylor_table`, whose node scaling t_k cos(phi) joins the
+    At every detuning, resonance included, the Bessel argument is t e^{-i phi}
+    with t = 2 sqrt(d z h) / sqrt(1 + delta^2) and phi = arctan(delta); each
+    element is a Horner step in t - t_k on the table of
+    :func:`_ray_taylor_table`, whose node scaling t_k cos(phi) joins the
     exponent.  That exponent has real part -cos^2(phi) (sqrt(d z) -
     sqrt(h))^2 - cos(phi) (t - t_k) <= 1/32, so no depth overflows, and
     imaginary part r (d z + h), r = delta / (1 + delta^2), which separates
@@ -155,13 +153,11 @@ def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np
     element.  The factor 1 + i tau, tau = fl(r fl(h + d z)) - fl(r h) -
     fl(r d z), restores to first order the rounding that the split drops; at
     |delta| = 1000 the phase reaches 1e4 rad and without it the bracket
-    moves by 1e-13 of its maximum.
+    moves by 1e-13 of its maximum.  On resonance r = 0 and both phases are 1.
     """
     h = np.asarray(h, dtype=float)
     dz = params.d * zeta
     sh, sdz = np.sqrt(h), np.sqrt(dz)
-    if params.delta == 0.0:
-        return i0e(2.0 * np.outer(sh, sdz)) * np.exp(-((sdz[None, :] - sh[:, None]) ** 2))
     denom = 1.0 + 1j * params.delta
     cos_phi = 1.0 / abs(denom)
     rate = params.delta / (1.0 + params.delta**2)
@@ -239,7 +235,7 @@ def _emission_profile(h: np.ndarray, s: SpinWave, params: MediumParams) -> np.nd
     forming the weighted matrix of :func:`_emission_matrix`.
     """
     v = (_quadrature_weights(s.grid, params) * s.samples)[::-1]
-    return _real_matvec(_bracket_matrix(np.atleast_1d(h), s.grid.nodes, params), v)
+    return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params) @ v
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -337,9 +333,9 @@ class ShapingResult:
     n_truncated: int
 
 
-def _tabulate_energy_curve(s: SpinWave, params: MediumParams, h_max: float, m: int = 4001):
+def _tabulate_energy_curve(s: SpinWave, params: MediumParams, h_max: float):
     """G(h) = d * integral |q|^2 dh' and its rate dG/du tabulated on a sqrt(h) grid."""
-    u = np.linspace(0.0, math.sqrt(h_max), m)
+    u = np.linspace(0.0, math.sqrt(h_max), _ENERGY_ROWS)
     q = _emission_profile(u**2, s, params)
     rate = params.d * np.abs(q) ** 2 * 2.0 * u
     g = cumulative_simpson(rate, x=u, initial=0.0)

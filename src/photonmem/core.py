@@ -247,14 +247,6 @@ def _trapezoid_weights(g: TimeGrid) -> np.ndarray:
     return w
 
 
-def _real_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v, as two real products when a real ``a`` meets a complex ``v``,
-    so that ``a`` is never copied to complex."""
-    if np.iscomplexobj(a) or not np.iscomplexobj(v):
-        return a @ v
-    return a @ v.real + 1j * (a @ v.imag)
-
-
 def mode_norm2(mode: FieldMode) -> float:
     """Trapezoid value of the time integral of |samples|^2."""
     return float(np.trapezoid(np.abs(mode.samples) ** 2, dx=mode.grid.dtau))

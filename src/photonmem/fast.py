@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import j0
 
-from .core import FieldMode, SpaceGrid, SpinWave, TimeGrid, _real_matvec, time_reverse
+from .core import FieldMode, SpaceGrid, SpinWave, TimeGrid, time_reverse
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import EnsembleState
@@ -69,10 +69,11 @@ def retrieve_fast(s: SpinWave, d: float, grid: TimeGrid) -> FieldMode:
     z = s.grid.nodes
     s_rev = s.samples[::-1]
     weights = s.grid.weights * s_rev
-    quad = np.empty(tau.size, dtype=np.result_type(weights, float))
+    quad = np.empty(tau.size, dtype=complex)
     for r0 in range(0, tau.size, _ROW_BLOCK):
         rows = slice(r0, r0 + _ROW_BLOCK)
-        quad[rows] = _real_matvec(j0(2.0 * np.sqrt(np.outer(d * tau[rows], z))), weights)
+        b = j0(2.0 * np.sqrt(np.outer(d * tau[rows], z)))  # real block, never copied to complex
+        quad[rows] = b @ weights.real + 1j * (b @ weights.imag)
     out = -math.sqrt(d) * np.exp(-tau) * quad
     return FieldMode(grid=grid, samples=out)
 

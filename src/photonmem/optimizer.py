@@ -88,13 +88,13 @@ def completing_control(
     return ControlField(grid=grid, samples=np.full(n, omega, dtype=complex))
 
 
-def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
+def _time_reversal_loop(run, reverse, x0, weights, tol, max_iter):
     """Iterate trial -> output -> time-reversed output until the trial settles.
 
     ``run(x)`` returns the efficiency and output of the unit-norm (in
     ``weights``) trial ``x``; ``reverse(out, eta)`` makes the next trial from
     that output.  Converged when the efficiency moves by less than ``tol`` and
-    the trial by less than ``mode_tol``.  The move is measured after the
+    the trial by less than sqrt(``tol``).  The move is measured after the
     global phase of the overlap <x, next> is taken out, since a cycle off
     resonance turns that phase; the trials themselves are not rotated.  A
     trial whose efficiency is not finite and positive has nothing to reverse
@@ -117,7 +117,7 @@ def _time_reversal_loop(run, reverse, x0, weights, tol, mode_tol, max_iter):
         move = math.sqrt(float(weights @ np.abs(nxt - phase * x) ** 2))
         d_eta = abs(eta - efficiencies[-2]) if it > 1 else math.inf
         x = nxt
-        if move < mode_tol and d_eta < tol:
+        if move < math.sqrt(tol) and d_eta < tol:
             return efficiencies, x, it, True
     return efficiencies, x, max_iter, False
 
@@ -185,7 +185,7 @@ def iterate_retrieval(
             return st.final_state.S[::-1]  # flip back into the retrieval frame
 
     efficiencies, x, iterations, converged = _time_reversal_loop(
-        run, reverse, sigma.samples, sigma.grid.weights, tol, math.sqrt(tol), max_iter
+        run, reverse, sigma.samples, sigma.grid.weights, tol, max_iter
     )
     return IterationTrace(
         efficiencies=efficiencies,
@@ -267,7 +267,7 @@ def optimize_storage_retrieval(
         return float(tw @ np.abs(e) ** 2), e
 
     efficiencies, u, iterations, converged = _time_reversal_loop(
-        run, lambda e, eta: np.conj(e[::-1]), u / nrm, tw, tol, math.sqrt(tol), max_iter
+        run, lambda e, eta: np.conj(e[::-1]), u / nrm, tw, tol, max_iter
     )
     final = FieldMode(grid=ctrl.grid, samples=u)
     trace = IterationTrace(

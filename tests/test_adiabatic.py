@@ -45,7 +45,7 @@ def constant_control(omega, T, n=2001):
 
 
 RAMAN_DEPTHS = [1.0, 10.0, 300.0, 1e3, 1e4]
-RAMAN_DETUNINGS = [1e-12, -1e-12, 10.0, -10.0, 50.0, -50.0, 200.0, -200.0, 1000.0, -1000.0]
+RAMAN_DETUNINGS = [0.0, 1e-12, -1e-12, 10.0, -10.0, 50.0, -50.0, 200.0, -200.0, 1000.0, -1000.0]
 BRACKET_TOL = 1e-13  # of the case's max |bracket|
 # the 12 shaping cases of the two-pass shaping, plus large detunings
 STORAGE_CASES = [
@@ -146,8 +146,9 @@ class TestBracket:
         got = _bracket_matrix(h, gauss_grid.nodes, params)
         assert np.max(np.abs(got - ref)) <= BRACKET_TOL * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("delta", [30.0, 0.0])
     def test_raman_shaping_evaluates_ive_per_node_not_per_element(
-        self, monkeypatch, optimal_modes, reference_input
+        self, monkeypatch, optimal_modes, reference_input, delta
     ):
         # a guard without timing: per-element complex ive would evaluate every
         # (row, node) pair of the energy table and the phase rows
@@ -160,12 +161,13 @@ class TestBracket:
         monkeypatch.setattr(adiabatic, "ive", counting_ive)
         s, _ = optimal_modes[100.0]
         target = time_reverse(reference_input)
-        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=30.0))
+        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=delta))
         elements = (4001 + target.grid.n) * s.grid.n
         assert 0 < sum(counted) < 0.02 * elements
 
+    @pytest.mark.parametrize("delta", [30.0, 0.0])
     def test_raman_shaping_takes_no_complex_exp_per_element(
-        self, monkeypatch, optimal_modes, reference_input
+        self, monkeypatch, optimal_modes, reference_input, delta
     ):
         # a guard without timing: the bracket's phase is a row factor times a
         # node factor, so complex exponentials scale with rows plus nodes
@@ -184,7 +186,7 @@ class TestBracket:
         monkeypatch.setattr(adiabatic, "np", CountingNumpy())
         s, _ = optimal_modes[100.0]
         target = time_reverse(reference_input)
-        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=30.0))
+        shape_retrieval_control(s, target, MediumParams(d=100.0, delta=delta))
         elements = (4001 + target.grid.n) * s.grid.n
         assert 0 < sum(counted) < 0.02 * elements
 
