@@ -36,6 +36,7 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _chebyshev_interpolant,
     _trapezoid_weights,
     mode_norm2,
     time_reverse,
@@ -139,7 +140,24 @@ def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
     return c
 
 
-def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np.ndarray:
+def _ray_table(sh_max: float, zeta: np.ndarray, params: MediumParams) -> np.ndarray:
+    """The :func:`_ray_taylor_table` of the bracket rows up to sqrt(h) = ``sh_max``.
+
+    Its nodes reach t = sh_max * 2 sqrt(d max zeta) cos(phi) plus one step.
+    """
+    denom = 1.0 + 1j * params.delta
+    cos_phi = 1.0 / abs(denom)
+    st_max = (2.0 * cos_phi) * np.sqrt(params.d * np.max(zeta, initial=0.0))
+    return _ray_taylor_table(int(sh_max * st_max / _RAY_STEP) + 2, cos_phi * np.conj(denom))
+
+
+def _bracket_matrix(
+    h: np.ndarray,
+    zeta: np.ndarray,
+    params: MediumParams,
+    table: np.ndarray | None = None,
+    phased: bool = True,
+) -> np.ndarray:
     """exp(-(d z + h)/(1+i delta)) * I0(2 sqrt(d z h)/(1+i delta)), stably.
 
     At every detuning, resonance included, the Bessel argument is t e^{-i phi}
@@ -154,6 +172,11 @@ def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np
     fl(r d z), restores to first order the rounding that the split drops; at
     |delta| = 1000 the phase reaches 1e4 rad and without it the bracket
     moves by 1e-13 of its maximum.  On resonance r = 0 and both phases are 1.
+
+    ``table`` is a :func:`_ray_table` for rows up to at least max sqrt(h),
+    so that several calls share one; by default each call builds its own.
+    With ``phased`` false the rows leave out the row phase and, with it, the
+    rounding factor: they are the bracket times e^{-i r h}, smooth in sqrt(h).
     """
     h = np.asarray(h, dtype=float)
     dz = params.d * zeta
@@ -162,11 +185,16 @@ def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np
     cos_phi = 1.0 / abs(denom)
     rate = params.delta / (1.0 + params.delta**2)
     st = (2.0 * cos_phi) * sdz  # t = sqrt(h) * st
-    n_nodes = int(np.max(sh, initial=0.0) * np.max(st, initial=0.0) / _RAY_STEP) + 2
-    c = _ray_taylor_table(n_nodes, cos_phi * np.conj(denom))
-    rh, rdz = rate * h, rate * dz
-    row_phase, node_phase = np.exp(1j * rh), np.exp(1j * rdz)
     steps = st * (1.0 / _RAY_STEP)  # t / _RAY_STEP = sqrt(h) * steps
+    sh_max = np.max(sh, initial=0.0)
+    c = _ray_table(sh_max, zeta, params) if table is None else table
+    if np.rint(sh_max * np.max(steps, initial=0.0)) >= c.shape[1]:
+        raise ValueError("the ray table does not reach these rows")
+    rdz = rate * dz
+    node_phase = np.exp(1j * rdz)
+    if phased:
+        rh = rate * h
+        row_phase = np.exp(1j * rh)
     out = np.empty((h.size, zeta.size), dtype=complex)
     shape = (min(_RAY_BLOCK, h.size), zeta.size)
     # per-block scratch: node index, t - t_k (real, and complex with zero
@@ -184,26 +212,30 @@ def _bracket_matrix(h: np.ndarray, zeta: np.ndarray, params: MediumParams) -> np
         ds -= x
         ds *= _RAY_STEP
         ds_c.real = ds
-        # k < n_nodes by the choice of n_nodes; "clip" skips the copy "raise" makes
+        # k is inside the table, checked above; "clip" skips the copy "raise" makes
         np.take(c[_RAY_ORDER], k, out=o, mode="clip")
         for m in range(_RAY_ORDER - 1, -1, -1):
             o *= ds_c
             o += np.take(c[m], k, out=w, mode="clip")
-        np.add(h[rows, None], dz, out=tau)
-        tau *= rate
-        tau -= rh[rows, None]
-        tau -= rdz
         np.subtract(sh[rows, None], sdz, out=x)
         x *= x
         x *= -(cos_phi * cos_phi)
         ds *= cos_phi
         x -= ds
         np.exp(x, out=x)  # the modulus of the exponential
-        w.real = x
-        np.multiply(x, tau, out=w.imag)
-        o *= w
+        if phased:
+            np.add(h[rows, None], dz, out=tau)
+            tau *= rate
+            tau -= rh[rows, None]
+            tau -= rdz
+            w.real = x
+            np.multiply(x, tau, out=w.imag)
+            o *= w
+        else:
+            o *= x
         o *= node_phase
-        o *= row_phase[rows, None]
+        if phased:
+            o *= row_phase[rows, None]
     return out
 
 
@@ -228,14 +260,39 @@ def _emission_matrix(h: np.ndarray, grid: SpaceGrid, params: MediumParams) -> np
     return kappa[:, ::-1] * _quadrature_weights(grid, params)
 
 
-def _emission_profile(h: np.ndarray, s: SpinWave, params: MediumParams) -> np.ndarray:
+def _emission_profile(
+    h: np.ndarray,
+    s: SpinWave,
+    params: MediumParams,
+    table: np.ndarray | None = None,
+    phased: bool = True,
+) -> np.ndarray:
     """q(h): the bracket integral against s(1 - zeta) on the wave's grid.
 
     Contracts the bracket with the reversed weighted samples, without
-    forming the weighted matrix of :func:`_emission_matrix`.
+    forming the weighted matrix of :func:`_emission_matrix`.  ``table`` and
+    ``phased`` pass to :func:`_bracket_matrix`; unphased, the result is
+    q(h) e^{-i r h}, r = delta / (1 + delta^2).
     """
     v = (_quadrature_weights(s.grid, params) * s.samples)[::-1]
-    return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params) @ v
+    return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table, phased) @ v
+
+
+def _emission_interpolant(s: SpinWave, params: MediumParams, h_max: float):
+    """q(h) on [0, h_max], read off a chopped Chebyshev interpolant in sqrt(h).
+
+    With its row phase e^{i r h}, r = delta / (1 + delta^2), factored out, q
+    is smooth in u = sqrt(h), so a few hundred bracket rows, all sharing one
+    ray table, carry q(u^2) e^{-i r u^2} to rounding level; the returned
+    function applies the row phase exactly at each h.
+    """
+    u_max = math.sqrt(h_max)
+    table = _ray_table(u_max, s.grid.nodes, params)
+    q_tilde = _chebyshev_interpolant(
+        lambda u: _emission_profile(u * u, s, params, table, phased=False), 0.0, u_max
+    )
+    rate = params.delta / (1.0 + params.delta**2)
+    return lambda h: np.exp(1j * rate * h) * q_tilde(np.sqrt(h))
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -333,11 +390,10 @@ class ShapingResult:
     n_truncated: int
 
 
-def _tabulate_energy_curve(s: SpinWave, params: MediumParams, h_max: float):
+def _tabulate_energy_curve(q, d: float, h_max: float):
     """G(h) = d * integral |q|^2 dh' and its rate dG/du tabulated on a sqrt(h) grid."""
     u = np.linspace(0.0, math.sqrt(h_max), _ENERGY_ROWS)
-    q = _emission_profile(u**2, s, params)
-    rate = params.d * np.abs(q) ** 2 * 2.0 * u
+    rate = d * np.abs(q(u**2)) ** 2 * 2.0 * u
     g = cumulative_simpson(rate, x=u, initial=0.0)
     return u, np.maximum.accumulate(g), rate
 
@@ -357,8 +413,9 @@ def shape_retrieval_control(
     steps that read the rate from a cubic spline of the tabulated values.
     The magnitude follows from dh/dtau by centered differences (one-sided
     at the ends, round-off negatives clamped), the phase from the
-    closed-form output evaluated exactly at h(tau).  Only the table and
-    that phase evaluation compute the bracket.  Where the demanded h
+    closed-form output at h(tau).  Both the table and that phase read q
+    from :func:`_emission_interpolant`, the only bracket evaluation, with
+    its row phase e^{i r h} applied exactly at each h.  Where the demanded h
     exceeds ``h_max`` the clock is capped and the control switches off; the
     unmet energy fraction is reported as the truncation loss.
     """
@@ -382,7 +439,8 @@ def shape_retrieval_control(
     demanded = eta_r * cum / total  # target assumed unit norm; rescale defensively
     demanded_tail = eta_r * tail_cum / total
 
-    u_tab, g_tab, f_tab = _tabulate_energy_curve(s, params, h_max)
+    q = _emission_interpolant(s, params, h_max)
+    u_tab, g_tab, f_tab = _tabulate_energy_curve(q, params.d, h_max)
     g_cap = float(g_tab[-1])
     truncation_loss = float(max(0.0, 1.0 - g_cap / eta_r))
 
@@ -432,9 +490,10 @@ def shape_retrieval_control(
     h[0] = 0.0
 
     magnitude = np.sqrt(np.clip(np.gradient(h, dt), 0.0, None))
-    # exact, not interpolated from the table: at |delta| >~ 200 arg q turns
-    # by more than 1 rad per table step
-    q_at_h = _emission_profile(h, s, params)
+    # the row phase of q is exact at h(tau), where at |delta| >~ 200 arg q
+    # turns by more than 1 rad per table step; only the smooth rest of q
+    # is interpolated
+    q_at_h = q(h)
     phase_ref = -target.samples * np.conj(q_at_h)
     phase = np.where(np.abs(phase_ref) > 0, np.angle(phase_ref), 0.0)
     omega = magnitude * np.exp(1j * phase)

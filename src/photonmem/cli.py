@@ -163,10 +163,10 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(rows):
-        lines.append(",".join(f"{float(col[i]):.17g}" for col in columns))
+    """One row per sample, every value as ``%.17g`` (round-trips exactly)."""
+    fmt = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    lines = [",".join(header), *(fmt % row for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -331,6 +331,112 @@ def _resample_waveform(wf: FieldMode | ControlField, times: np.ndarray) -> np.nd
     return vals
 
 
+# Chebyshev interpolation of a smooth function on an interval: values at
+# Chebyshev points of the second kind, evaluated by the barycentric formula
+# (Berrut & Trefethen, SIAM Rev. 46, 2004), with the number of points
+# chosen by where the Chebyshev coefficients reach rounding level (a plain
+# form of the chop of Aurentz & Trefethen, ACM TOMS 43, 2017).
+_CHEB_START = 129  # points of the first level; each level doubles the intervals
+_CHEB_MAX = 8193  # points at which a still unresolved function raises
+_CHEB_TAIL = 1e-14  # the last eighth of the coefficients, relative to the largest
+_CHEB_BLOCK = 2**18  # (evaluation point, node) pairs per barycentric block
+
+
+def _chebyshev_points(n: int, a: float, b: float) -> np.ndarray:
+    """The n Chebyshev points of the second kind on [a, b], from b down to a.
+
+    The sine form keeps them symmetric, and the points of n levels are
+    bitwise the even points of 2n - 1.
+    """
+    m = n - 1
+    t = np.sin(np.pi * np.arange(m, -m - 1, -2) / (2 * m))
+    x = 0.5 * (a + b) + 0.5 * (b - a) * t
+    x[0], x[-1] = b, a
+    return x
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_k of sum_k c_k T_k through ``values`` at the points of
+    :func:`_chebyshev_points`, by one FFT of the even extension."""
+    m = values.size - 1
+    c = np.fft.fft(np.concatenate([values, values[m - 1:0:-1]]))[: m + 1] / m
+    c[[0, m]] /= 2.0
+    return c
+
+
+@dataclass(frozen=True, eq=False)
+class _ChebyshevInterpolant:
+    """Complex values at Chebyshev points, evaluated anywhere on their interval.
+
+    A call evaluates the barycentric formula with weights (-1)^j, halved at
+    the ends, ``_CHEB_BLOCK // n`` points at a time, so memory stays bounded
+    whatever the number of evaluation points.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.points.size
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        w = np.where(np.arange(self.n) % 2, -1.0, 1.0)
+        w[[0, -1]] *= 0.5
+        # numerator (real and imaginary parts) and denominator in one product
+        vals = np.column_stack([self.values.real, self.values.imag, np.ones(self.n)])
+        out = np.empty(flat.size, dtype=complex)
+        step = max(1, _CHEB_BLOCK // self.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(0, flat.size, step):
+                xb = flat[r:r + step]
+                c = np.subtract.outer(xb, self.points)
+                np.divide(w, c, out=c)
+                num = c @ vals
+                q = (num[:, 0] + 1j * num[:, 1]) / num[:, 2]
+                miss = np.isnan(q)
+                if miss.any():  # x on a node, where the formula reads inf / inf
+                    near = np.abs(xb[miss, None] - self.points).argmin(axis=1)
+                    q[miss] = self.values[near]
+                out[r:r + step] = q
+        return out.reshape(x.shape)
+
+
+def _chebyshev_interpolant(f, a: float, b: float) -> _ChebyshevInterpolant:
+    """Chebyshev interpolant of a smooth complex function on [a, b].
+
+    ``f`` maps an array of points to the function's values there.  It is
+    sampled at ``_CHEB_START`` Chebyshev points, then at the new points of
+    each level that doubles the intervals, until the last eighth of the
+    Chebyshev coefficients is at most ``_CHEB_TAIL`` of the largest.  A
+    function still unresolved at ``_CHEB_MAX`` points raises
+    :class:`ConvergenceError`, and one with non-finite values ValueError.
+    """
+    n, values = _CHEB_START, None
+    while True:
+        x = _chebyshev_points(n, a, b)
+        if values is None:
+            values = np.asarray(f(x), dtype=complex)
+        else:
+            merged = np.empty(n, dtype=complex)
+            merged[::2] = values
+            merged[1::2] = f(x[1::2])
+            values = merged
+        if not np.all(np.isfinite(values)):
+            raise ValueError("Chebyshev interpolant: the function is not finite on the interval")
+        mag = np.abs(_chebyshev_coefficients(values))
+        if np.max(mag[-(n // 8):]) <= _CHEB_TAIL * np.max(mag):
+            return _ChebyshevInterpolant(points=x, values=values)
+        if n >= _CHEB_MAX:
+            raise ConvergenceError(
+                f"Chebyshev interpolant: not resolved to rounding level at {n} points "
+                f"on [{a!r}, {b!r}]"
+            )
+        n = 2 * n - 1
+
+
 def make_reference_input(T: float, grid: TimeGrid | None = None) -> FieldMode:
     """Gaussian-like input mode on [0, T], vanishing exactly at the ends.
 

@@ -29,6 +29,7 @@ from photonmem import (
 from photonmem.adiabatic import (
     DecayFunction,
     _bracket_matrix,
+    _emission_interpolant,
     _emission_matrix,
     _emission_profile,
     default_h_max,
@@ -54,6 +55,9 @@ STORAGE_CASES = [
     (30.0, 200.0), (30.0, -200.0), (30.0, 1000.0), (30.0, -1000.0),
 ]
 STORAGE_TOL = 1e-10  # of the case's max |M|
+INTERP_DEPTHS = [1.0, 10.0, 100.0, 300.0, 1e3, 1e4]
+INTERP_DETUNINGS = [0.0, 10.0, -10.0, 50.0, -1000.0]
+INTERP_TOL = 1e-13  # of the case's max |q| over the energy table
 
 
 def shaping_rows(params):
@@ -189,6 +193,38 @@ class TestBracket:
         shape_retrieval_control(s, target, MediumParams(d=100.0, delta=delta))
         elements = (4001 + target.grid.n) * s.grid.n
         assert 0 < sum(counted) < 0.02 * elements
+
+    @pytest.mark.parametrize("delta", [30.0, 0.0])
+    def test_shaping_evaluates_few_bracket_rows(
+        self, monkeypatch, optimal_modes, reference_input, delta
+    ):
+        # a guard without timing: q read directly off the bracket takes the
+        # 4,001 energy-table rows plus one row per target sample; its
+        # Chebyshev interpolant takes a few hundred
+        rows = []
+        real = adiabatic._bracket_matrix
+
+        def counting(h, *args, **kwargs):
+            rows.append(np.size(h))
+            return real(h, *args, **kwargs)
+
+        monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
+        s, _ = optimal_modes[100.0]
+        shape_retrieval_control(s, time_reverse(reference_input), MediumParams(d=100.0, delta=delta))
+        assert 0 < sum(rows) <= 600
+
+    @pytest.mark.parametrize("delta", INTERP_DETUNINGS)
+    @pytest.mark.parametrize("d", INTERP_DEPTHS)
+    def test_emission_interpolant_matches_direct_profile(self, d, delta, reference_input):
+        # on the energy table's rows and at the shaped clock h(tau)
+        params = MediumParams(d=d, delta=delta)
+        s, _ = optimal_spin_wave(d)
+        q = _emission_interpolant(s, params, default_h_max(params))
+        h_tab = shaping_rows(params)
+        shaped = shape_retrieval_control(s, time_reverse(reference_input), params)
+        scale = np.max(np.abs(_emission_profile(h_tab, s, params)))
+        for h in (h_tab, shaped.h.h):
+            assert np.max(np.abs(q(h) - _emission_profile(h, s, params))) <= INTERP_TOL * scale
 
     @pytest.mark.parametrize("d, delta", STORAGE_CASES)
     def test_emission_profile_matches_emission_matrix(self, d, delta, gauss_grid):

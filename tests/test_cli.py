@@ -94,6 +94,17 @@ class TestCommands:
         for name in ("spinwave_d10.csv", "optimal_spinwave_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_csv_values_formatted_as_per_element_17g(self, tmp_path):
+        # the row-at-a-time %-format writes the bytes that formatting each
+        # element with f"{float(x):.17g}" wrote, special values included
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf]
+        rng = np.random.default_rng(3)
+        a = np.concatenate([special, rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50)])
+        b = np.concatenate([special[::-1], rng.uniform(-1, 1, 50)])
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"], [a, b])
+        want = "a,b\n" + "".join(f"{float(x):.17g},{float(y):.17g}\n" for x, y in zip(a, b))
+        assert (tmp_path / "x.csv").read_bytes() == want.encode("utf-8")
+
     def test_shape_controls_summary_consistent(self, tmp_path):
         out = tmp_path / "s"
         rc = main(["shape-controls", "--d", "10", "--out", str(out)])

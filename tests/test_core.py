@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from photonmem import (
     ControlField,
+    ConvergenceError,
     FieldMode,
     GridError,
     MediumParams,
@@ -20,6 +21,7 @@ from photonmem import (
     spinwave_norm2,
     time_reverse,
 )
+from photonmem.core import _CHEB_MAX, _CHEB_START, _chebyshev_interpolant
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -190,6 +192,30 @@ class TestResample:
         s = SpinWave(grid=gauss_grid, samples=poly(gauss_grid.nodes))
         got = resample_spinwave(s, uniform_grid).samples
         assert np.max(np.abs(got - poly(uniform_grid.nodes))) < 1e-13
+
+
+class TestChebyshevInterpolant:
+    def test_entire_function_resolved_at_first_level(self):
+        def f(x):
+            return np.exp(3j * x) * np.cos(5.0 * x)
+
+        interp = _chebyshev_interpolant(f, 0.0, 2.0)
+        assert interp.n == _CHEB_START
+        # several evaluation blocks, the nodes and both ends among the points
+        x = np.concatenate([np.linspace(0.0, 2.0, 10_001), interp.points])
+        assert np.max(np.abs(interp(x) - f(x))) < 1e-14
+
+    def test_unresolved_function_raises_at_the_cap(self):
+        sampled = []
+
+        def jump(x):
+            sampled.append(x.size)
+            return np.where(x < 0.3, 1.0, -1.0) + 0j
+
+        with pytest.raises(ConvergenceError):
+            _chebyshev_interpolant(jump, 0.0, 1.0)
+        # nested levels: every point of the cap level sampled exactly once
+        assert sum(sampled) == _CHEB_MAX
 
 
 def test_normalized_mode_rejects_zero():

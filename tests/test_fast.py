@@ -13,6 +13,7 @@ from photonmem import (
     TimeGrid,
     mode_norm2,
     optimal_fast_input,
+    optimal_spin_wave,
     pi_pulse,
     resample_spinwave,
     retrieval_efficiency,
@@ -77,6 +78,21 @@ class TestRetrieveFast:
             want = -np.sqrt(d) * np.exp(-tau) * quad
             got = retrieve_fast(s, d, grid).samples
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1.0, 30.0, 300.0])
+    def test_matches_direct_bessel_sum(self, d, gauss_grid):
+        # the J0 quadrature at every output time, 2,048 times per block
+        s, _ = optimal_spin_wave(d, gauss_grid)
+        grid = recommended_fast_grid(d)
+        tau = grid.times - grid.tau0
+        weights = gauss_grid.weights * s.samples[::-1]
+        quad = np.concatenate([
+            j0(2.0 * np.sqrt(np.outer(d * tau[r:r + 2048], gauss_grid.nodes))) @ weights
+            for r in range(0, tau.size, 2048)
+        ])
+        want = -np.sqrt(d) * np.exp(-tau) * quad
+        got = retrieve_fast(s, d, grid).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_memory_bounded_at_large_depth(self, gauss_grid):
         # 36,001 output times x 200 nodes: the one-shot quadrature held
