@@ -33,12 +33,7 @@ from .core import (
     spinwave_norm2,
     time_reverse,
 )
-from .kernel import (
-    KernelOperator,
-    kernel_eval,
-    optimal_spin_wave,
-    retrieval_efficiency,
-)
+from .kernel import kernel_eval, optimal_spin_wave, retrieval_efficiency
 from .adiabatic import (
     AdiabaticityWarning,
     DecayFunction,
@@ -93,7 +88,6 @@ __all__ = [
     "resample_spinwave",
     "nondimensionalize_doc",
     "kernel_eval",
-    "KernelOperator",
     "retrieval_efficiency",
     "optimal_spin_wave",
     "DecayFunction",

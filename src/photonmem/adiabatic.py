@@ -419,11 +419,17 @@ def shape_retrieval_control(
     exceeds ``h_max`` the clock is capped and the control switches off; the
     unmet energy fraction is reported as the truncation loss.
     """
+    return _shape_retrieval(s, target, params, h_max, retrieval_efficiency(s, params.d))
+
+
+def _shape_retrieval(
+    s: SpinWave, target: FieldMode, params: MediumParams, h_max: float | None, eta_r: float
+) -> ShapingResult:
+    """:func:`shape_retrieval_control`, given ``eta_r``, the kernel efficiency of ``s``."""
     if h_max is None:
         h_max = default_h_max(params)
     if h_max <= 0:
         raise ValueError("h_max must be positive")
-    eta_r = retrieval_efficiency(s, params.d)
     if eta_r <= 0:
         raise ShapingError("source spin wave has zero retrieval efficiency")
     _warn_short_window(target.grid.duration, params.d, "shape_retrieval_control")
@@ -545,8 +551,8 @@ def optimal_storage_control(
     if abs(n2 - 1.0) > 1e-6:
         raise ValueError(f"input mode must be normalized, norm^2 = {n2!r}")
     s_opt, eta_max = optimal_spin_wave(params.d, grid)
-    target = time_reverse(input_mode)
-    shaping = shape_retrieval_control(s_opt, target, params, h_max=h_max)
+    # eta_max is the kernel efficiency of s_opt; the shaping need not rebuild the kernel
+    shaping = _shape_retrieval(s_opt, time_reverse(input_mode), params, h_max, eta_max)
     storage_ctrl = time_reverse(shaping.control)
     return StorageControlResult(
         control=storage_ctrl,

@@ -73,7 +73,9 @@ _KEY_SPECS = {
 
 # key: the commands that take it as a --flag (None: every command), in --help order
 _FLAGS = {
-    "d": None, "delta": None, "out": None, "jobs": None, "tol": None,
+    "d": ("optimal-spinwave", "shape-controls", "simulate", "iterate"),
+    "delta": ("shape-controls", "curves", "simulate", "iterate"),
+    "out": None, "jobs": ("curves",), "tol": ("iterate",),
     "d_min": ("curves",), "d_max": ("curves",), "d_points": ("curves",),
     "input_T": ("shape-controls", "curves", "simulate"),
     "control": ("simulate",), "retrieve": ("simulate",),
@@ -224,14 +226,14 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
 def _curve_point(task: tuple) -> dict:
     """One depth of the efficiency sweep; must stay picklable for --jobs."""
     d, delta, gauss_nodes, n_zeta, input_T, input_n = task
-    from .kernel import optimal_spin_wave, retrieval_efficiency
-    from .optimizer import forward_max_efficiency
+    from .kernel import _kernel_eigh, retrieval_efficiency
+    from .optimizer import _forward_bound
     from .simulator import simulate_storage
 
-    grid = SpaceGrid.gauss_legendre(gauss_nodes)
-    _, eta_max = optimal_spin_wave(d, grid)
-    eta_back = eta_max**2
-    eta_forw = forward_max_efficiency(d, grid)
+    # one eigensolve gives eta_max (the top eigenvalue) and the forward bound
+    vals, vecs, _ = _kernel_eigh(d, SpaceGrid.gauss_legendre(gauss_nodes))
+    eta_back = float(vals[-1]) ** 2
+    eta_forw = _forward_bound(vals, vecs)
     input_mode = RunConfig({"input_T": input_T, "input_n": input_n}).reference_input()
     omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
     ctrl = ControlField(

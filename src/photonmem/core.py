@@ -303,20 +303,18 @@ def resample_spinwave(s: SpinWave, grid: SpaceGrid) -> SpinWave:
 
     Gauss-type sources use barycentric polynomial interpolation (stable for
     endpoint-clustered nodes) with the closed-form Gauss-Legendre weights
-    (-1)^j sqrt(zeta_j (1 - zeta_j) w_j), so the result does not depend on
-    a node ordering drawn at random; uniform sources use a cubic spline,
-    since a global polynomial through equispaced points is ill-conditioned.
+    (-1)^j sqrt(zeta_j (1 - zeta_j) w_j) (Wang, Huybrechs & Vandewalle,
+    Math. Comp. 83, 2014); uniform sources use a cubic spline, since a
+    global polynomial through equispaced points is ill-conditioned.
     """
-    from scipy.interpolate import BarycentricInterpolator, CubicSpline
-
     if s.grid.kind == "gauss":
         z = s.grid.nodes
         wi = (-1.0) ** np.arange(z.size) * np.sqrt(z * (1.0 - z) * s.grid.weights)
-        interp = BarycentricInterpolator(z, s.samples, wi=wi)
-        vals = np.asarray(interp(grid.nodes), dtype=complex)
+        vals = _BarycentricInterpolant(points=z, values=s.samples, weights=wi)(grid.nodes)
     else:
-        spline = CubicSpline(s.grid.nodes, s.samples, bc_type="natural")
-        vals = spline(grid.nodes)
+        from scipy.interpolate import CubicSpline
+
+        vals = CubicSpline(s.grid.nodes, s.samples, bc_type="natural")(grid.nodes)
     return SpinWave(grid=grid, samples=vals)
 
 
@@ -365,16 +363,17 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _ChebyshevInterpolant:
-    """Complex values at Chebyshev points, evaluated anywhere on their interval.
+class _BarycentricInterpolant:
+    """Complex values at interpolation points, evaluated anywhere on their span.
 
-    A call evaluates the barycentric formula with weights (-1)^j, halved at
-    the ends, ``_CHEB_BLOCK // n`` points at a time, so memory stays bounded
-    whatever the number of evaluation points.
+    A call evaluates the barycentric formula with the points' ``weights``,
+    ``_CHEB_BLOCK // n`` points at a time, so memory stays bounded whatever
+    the number of evaluation points.
     """
 
     points: np.ndarray
     values: np.ndarray
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
@@ -383,8 +382,7 @@ class _ChebyshevInterpolant:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        w = np.where(np.arange(self.n) % 2, -1.0, 1.0)
-        w[[0, -1]] *= 0.5
+        w = self.weights
         # numerator (real and imaginary parts) and denominator in one product
         vals = np.column_stack([self.values.real, self.values.imag, np.ones(self.n)])
         out = np.empty(flat.size, dtype=complex)
@@ -404,7 +402,7 @@ class _ChebyshevInterpolant:
         return out.reshape(x.shape)
 
 
-def _chebyshev_interpolant(f, a: float, b: float) -> _ChebyshevInterpolant:
+def _chebyshev_interpolant(f, a: float, b: float) -> _BarycentricInterpolant:
     """Chebyshev interpolant of a smooth complex function on [a, b].
 
     ``f`` maps an array of points to the function's values there.  It is
@@ -428,7 +426,9 @@ def _chebyshev_interpolant(f, a: float, b: float) -> _ChebyshevInterpolant:
             raise ValueError("Chebyshev interpolant: the function is not finite on the interval")
         mag = np.abs(_chebyshev_coefficients(values))
         if np.max(mag[-(n // 8):]) <= _CHEB_TAIL * np.max(mag):
-            return _ChebyshevInterpolant(points=x, values=values)
+            w = np.where(np.arange(n) % 2, -1.0, 1.0)  # (-1)^j, halved at the ends
+            w[[0, -1]] *= 0.5
+            return _BarycentricInterpolant(points=x, values=values, weights=w)
         if n >= _CHEB_MAX:
             raise ConvergenceError(
                 f"Chebyshev interpolant: not resolved to rounding level at {n} points "

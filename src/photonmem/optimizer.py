@@ -208,7 +208,11 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
     """
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
-    vals, vecs, _ = _kernel_eigh(d, grid)
+    return _forward_bound(*_kernel_eigh(d, grid)[:2])
+
+
+def _forward_bound(vals: np.ndarray, vecs: np.ndarray) -> float:
+    """:func:`forward_max_efficiency` from the kernel's eigendecomposition."""
     r = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
     m = np.linalg.eigvalsh(r.T @ r[::-1])
     return float(max(m[0] ** 2, m[-1] ** 2))

@@ -116,17 +116,15 @@ class EnsembleState:
         return float(np.dot(w, np.abs(self.P) ** 2 + np.abs(self.S) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationResult:
-    final_state: EnsembleState
-    output_mode: FieldMode
-    breakdown: EfficiencyBreakdown
-    diagnostics: dict
-
-
 @dataclass(frozen=True)
 class AuditReport:
-    """Photon-number bookkeeping for one run; ``defect`` is the imbalance."""
+    """The record of one run: its photon-number bookkeeping and its steps.
+
+    ``defect`` is the imbalance; ``kind`` is "storage" or "retrieval";
+    ``dtau`` is the coarse step, ``n_steps`` counts the window's RK4 steps,
+    substeps included, and ``dtau_min`` is the smallest of them.
+    ``record["key"]`` reads field ``key``.
+    """
 
     input_norm2: float
     initial_excitation: float
@@ -135,9 +133,29 @@ class AuditReport:
     decayed: float
     residual_polarization: float
     defect: float
+    kind: str
+    dtau: float
+    n_steps: int
+    dtau_min: float
+    n_zeta: int
+    refinements: int
+    ring_down_time: float
+
+    def __getitem__(self, key: str):
+        if key not in self.__dataclass_fields__:
+            raise KeyError(key)
+        return getattr(self, key)
 
     def balanced(self, tol: float = DEFECT_TOL) -> bool:
         return abs(self.defect) <= tol
+
+
+@dataclass(frozen=True, eq=False)
+class SimulationResult:
+    final_state: EnsembleState
+    output_mode: FieldMode
+    breakdown: EfficiencyBreakdown
+    diagnostics: AuditReport
 
 
 def _waveform_on(times: np.ndarray, wf: Waveform) -> np.ndarray:
@@ -483,22 +501,12 @@ def _simulate(
         grid=integ.grid, E=integ.field_profile(p, 0.0)[0], P=p, S=s,
         tau=out_mode.grid.t_end + ring_time,
     )
-    diagnostics = {
-        "kind": kind,
-        "dtau": dt,
-        "n_steps": n_steps,
-        "dtau_min": dt_min,
-        "n_zeta": n_zeta,
-        "refinements": refinements,
-        "defect": defect,
-        "input_norm2": acc_in,
-        "initial_excitation": n0,
-        "stored": stored,
-        "leaked": leaked,
-        "decayed": decayed,
-        "residual_polarization": residual_p,
-        "ring_down_time": ring_time,
-    }
+    diagnostics = AuditReport(
+        input_norm2=acc_in, initial_excitation=n0, stored=stored, leaked=leaked,
+        decayed=decayed, residual_polarization=residual_p, defect=defect, kind=kind,
+        dtau=dt, n_steps=n_steps, dtau_min=dt_min, n_zeta=n_zeta, refinements=refinements,
+        ring_down_time=ring_time,
+    )
     return SimulationResult(
         final_state=state, output_mode=out_mode, breakdown=br, diagnostics=diagnostics
     )
@@ -600,15 +608,7 @@ def energy_audit(result: SimulationResult) -> AuditReport:
 
     Checks injected energy + initial excitation against stored + leaked +
     decayed + residual polarization; the defect is pure integrator error and
-    shrinks at fourth order in the step size.
+    shrinks at fourth order in the step size.  This is the run's own record,
+    ``result.diagnostics``.
     """
-    d = result.diagnostics
-    return AuditReport(
-        input_norm2=d["input_norm2"],
-        initial_excitation=d["initial_excitation"],
-        stored=d["stored"],
-        leaked=d["leaked"],
-        decayed=d["decayed"],
-        residual_polarization=d["residual_polarization"],
-        defect=d["defect"],
-    )
+    return result.diagnostics

@@ -329,14 +329,17 @@ class TestExitCodes:
         assert summary["results"][0]["d"] == 7.0
 
 
-# the --flags each command took when every parser branch was written by hand,
-# besides --config, --d, --delta, --out, --jobs and --tol, which all take
+# the --flags each command takes, besides --config and --out, which all take;
+# a command takes a flag only if it reads the key
 _OWN_FLAGS = {
-    "optimal-spinwave": {},
-    "shape-controls": {"--input-T": "10"},
-    "curves": {"--d-min": "1", "--d-max": "2", "--d-points": "2", "--input-T": "10"},
-    "simulate": {"--input-T": "10", "--control": "0:1", "--retrieve": "none"},
-    "iterate": {"--init": "flat", "--seed": "0", "--omega": "0"},
+    "optimal-spinwave": {"--d": "2"},
+    "shape-controls": {"--d": "2", "--delta": "0", "--input-T": "10"},
+    "curves": {"--delta": "0", "--jobs": "1", "--d-min": "1", "--d-max": "2", "--d-points": "2",
+               "--input-T": "10"},
+    "simulate": {"--d": "2", "--delta": "0", "--input-T": "10", "--control": "0:1",
+                 "--retrieve": "none"},
+    "iterate": {"--d": "2", "--delta": "0", "--tol": "1e-6", "--init": "flat", "--seed": "0",
+                "--omega": "0"},
 }
 
 
@@ -346,8 +349,7 @@ def test_every_summary_has_one_envelope_and_its_own_flags(tmp_path, command):
     cfg.write_text("gauss_nodes = 60\nn_zeta = 64\ninput_T = 10\ninput_n = 401\ntol = 1e-6\n")
     own = [arg for flag, value in _OWN_FLAGS[command].items() for arg in (flag, value)]
     out = tmp_path / "o"
-    rc = main([command, "--config", str(cfg), "--d", "2", "--delta", "0", "--jobs", "1",
-               "--tol", "1e-6", *own, "--out", str(out)])
+    rc = main([command, "--config", str(cfg), *own, "--out", str(out)])
     assert rc == 0
     name = f"{command.replace('-', '_')}_summary.json"
     assert [p.name for p in out.glob("*_summary.json")] == [name]
@@ -365,3 +367,33 @@ def test_every_summary_has_one_envelope_and_its_own_flags(tmp_path, command):
             if flag not in _OWN_FLAGS[command]:
                 assert main([command, flag, value, "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+def test_each_command_reads_every_flag_it_takes(tmp_path, monkeypatch, command):
+    # a flag the command never reads would be accepted and silently ignored
+    read, watched = set(), []
+    real = cli._COMMANDS[command]
+
+    def getattribute(self, name):
+        if watched and self is watched[0]:
+            read.add(name)
+        return object.__getattribute__(self, name)
+
+    def recorded(cfg):
+        # only the command's reads of its own config: not main's validation or
+        # metadata, nor a config that the command builds for itself
+        watched.append(cfg)
+        try:
+            return real(cfg)
+        finally:
+            watched.clear()
+
+    monkeypatch.setattr(RunConfig, "__getattribute__", getattribute)
+    monkeypatch.setitem(cli._COMMANDS, command, recorded)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("d = 2\ngauss_nodes = 60\nn_zeta = 64\ninput_T = 10\ninput_n = 401\n"
+                   "d_min = 1\nd_max = 2\nd_points = 2\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    flags = set(vars(cli._build_parser().parse_args([command]))) - {"command", "config"}
+    assert flags - read == set()

@@ -164,6 +164,25 @@ class TestEnergyAccounting:
                     1.0, abs=1e-4
                 )
 
+    def test_run_record_is_the_audit_and_reads_by_key(self, params_d10):
+        inp = make_reference_input(10.0, TimeGrid.linspace(0.0, 10.0, 501))
+        run = simulate_storage(inp, constant_control(2.0, 10.0, 501), params_d10, n_zeta=64)
+        record = run.diagnostics
+        assert energy_audit(run) is record
+        fields = ("input_norm2", "initial_excitation", "stored", "leaked", "decayed",
+                  "residual_polarization", "defect", "kind", "dtau", "n_steps", "dtau_min",
+                  "n_zeta", "refinements", "ring_down_time")
+        for key in fields:
+            assert record[key] == getattr(record, key)
+        assert record["kind"] == "storage" and record["n_zeta"] == 64
+        for key in ("balanced", "no_such_key"):
+            with pytest.raises(KeyError):
+                record[key]
+        with pytest.raises(AttributeError):
+            record.defect = 0.0
+        with pytest.raises(TypeError):
+            record["defect"] = 0.0
+
     def test_rk4_defect_order(self, params_d10):
         # halving the step shrinks the balance defect ~16x
         inp = make_reference_input(10.0, TimeGrid.linspace(0.0, 10.0, 501))
