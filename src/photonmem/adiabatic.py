@@ -501,8 +501,11 @@ def _shape_retrieval(
     # is interpolated
     q_at_h = q(h)
     phase_ref = -target.samples * np.conj(q_at_h)
-    phase = np.where(np.abs(phase_ref) > 0, np.angle(phase_ref), 0.0)
-    omega = magnitude * np.exp(1j * phase)
+    # the unit phasor of phase_ref (1 where it is 0) is exactly real where
+    # phase_ref is, so resonant controls come out exactly real
+    size = np.abs(phase_ref)
+    phasor = np.divide(phase_ref, size, out=np.ones_like(phase_ref), where=size > 0)
+    omega = magnitude * phasor
     ctrl = ControlField(grid=target.grid, samples=omega)
     return ShapingResult(
         control=ctrl,

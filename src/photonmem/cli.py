@@ -21,8 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +260,34 @@ def _curve_point_or_error(task: tuple) -> dict:
                 "eta_square": math.nan, "error": f"{type(exc).__name__}: {exc}"}
 
 
+# the thread counts of OpenBLAS and of OpenMP, read once when a process loads its BLAS
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextmanager
+def _worker_pool(jobs: int):
+    """``jobs`` spawned worker processes whose BLAS runs one thread each.
+
+    The workers already share the cores, so a BLAS thread pool in each
+    would oversubscribe them.  A spawned process reads the caps from the
+    environment it starts with; the parent's environment is restored when
+    the pool has shut down, and its own BLAS, already loaded, is unaffected.
+    """
+    saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def cmd_curves(cfg: RunConfig) -> tuple:
     out = _outdir(cfg)
     ds = np.geomspace(cfg.d_min, cfg.d_max, cfg.d_points)
@@ -265,7 +296,7 @@ def cmd_curves(cfg: RunConfig) -> tuple:
         for d in ds
     ]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with _worker_pool(cfg.jobs) as pool:
             points = list(pool.map(_curve_point_or_error, tasks))
     else:
         points = [_curve_point_or_error(t) for t in tasks]

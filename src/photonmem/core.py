@@ -10,7 +10,7 @@ depth ``d`` and the one-photon detuning ``delta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -165,7 +165,9 @@ class SpaceGrid:
         )
 
     @classmethod
+    @lru_cache(maxsize=32)
     def gauss_legendre(cls, n: int = 200) -> "SpaceGrid":
+        """Gauss-Legendre grid of ``n`` nodes; one shared read-only instance per ``n``."""
         x, w = np.polynomial.legendre.leggauss(n)
         return cls(nodes=(x + 1.0) / 2.0, weights=w / 2.0, kind="gauss")
 

@@ -37,6 +37,20 @@ cumulative sum of that row give C + g, and -beta (C + g) is exactly
 gives dP and dS = i conj(omega) P at once, and i sqrt(d) dz (C + g)[-1] is
 the exit-face field.  The ghost column of that product is discarded.
 
+On resonance (delta = 0) with a real input and a real control, the
+polarization stays in quadrature with the field: P = i p with p real, and S
+stays real.  A run whose inputs lie in that subspace (p0 imaginary, s0 real,
+both drives real, delta = 0) steps p = -i P instead, in real arithmetic, so
+every buffer holds half the numbers.  Dividing the P row by i and
+multiplying the P column by i makes the product real,
+
+    [[alpha, omega, -beta], [-omega, 0, 0]] @ [p, S, C_p + g'],
+
+with the ghost g' = -sqrt(d) E_in / beta and the exit-face field
+-sqrt(d) dz (C_p + g')[-1].  The scheme is the same, so the two paths
+agree to rounding; the run's record says which one it took
+(``AuditReport.arithmetic``).
+
 Time stepping is two-level.  The window is split into uniform coarse steps
 sized by the medium (detuning, optical depth) and by the sampling of the
 input and control, but not by the control's strength.  Each coarse step is
@@ -123,6 +137,8 @@ class AuditReport:
     ``defect`` is the imbalance; ``kind`` is "storage" or "retrieval";
     ``dtau`` is the coarse step, ``n_steps`` counts the window's RK4 steps,
     substeps included, and ``dtau_min`` is the smallest of them.
+    ``arithmetic`` is "real" when every RK4 step of the run stayed in the
+    real subspace of the module docstring, else "complex".
     ``record["key"]`` reads field ``key``.
     """
 
@@ -140,6 +156,7 @@ class AuditReport:
     n_zeta: int
     refinements: int
     ring_down_time: float
+    arithmetic: str
 
     def __getitem__(self, key: str):
         if key not in self.__dataclass_fields__:
@@ -217,6 +234,8 @@ class _Integrator:
         self.sqrt_d = math.sqrt(params.d)
         self.damping = damping
         self.decay_coeff = -(damping + 1j * params.delta)
+        # RK4 steps taken outside the real subspace, over all runs
+        self.complex_steps = 0
 
     def field_profile(self, p: np.ndarray, e_in: complex):
         """Cell-center field values and the exit-face value for given P."""
@@ -240,6 +259,10 @@ class _Integrator:
         decayed energy and the output after each block.  The input energy
         depends on the drive alone and comes from a cumulative sum, which is
         also the injected budget of the growth check.
+
+        When the inputs lie in the real subspace of the module docstring the
+        buffer is real and holds [p, S, C_p] with P = i p; P, S and the output
+        are returned complex either way.
         """
         n, dz, sqrt_d = self.grid.n, self.dz, self.sqrt_d
         m = n + 1
@@ -249,27 +272,45 @@ class _Integrator:
         steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,))
         e_half = np.asarray(e_in_half, dtype=complex)
         w_half = np.asarray(om_half, dtype=complex)
+        p0, s0 = np.asarray(p0), np.asarray(s0)
+        real_run = (
+            self.params.delta == 0.0
+            and not np.any(e_half.imag) and not np.any(w_half.imag)
+            and not np.any(p0.real) and not np.any(s0.imag)
+        )
+        # the factors of omega and the ghost in the P row (rot_in) and of
+        # conj(omega) in the S row and the exit field (rot_out): i and i, or,
+        # after P = i p, i/i = 1 and i*i = -1
+        if real_run:
+            dtype, rot_in, rot_out = float, 1.0, -1.0
+            alpha, e_half, w_half = alpha.real, e_half.real, w_half.real
+            p0, s0 = p0.imag, s0.real
+        else:
+            dtype, rot_in, rot_out = complex, 1j, 1j
+            self.complex_steps += n_steps
 
-        buf = np.zeros(20 * m, dtype=complex)
+        buf = np.zeros(20 * m, dtype=dtype)
         k = buf[: 8 * m].reshape(4, 2, m)
         st = buf[8 * m:].reshape(4, 3, m)
         y = st[0, :2]
         y[0, 1:] = p0
         y[1, 1:] = s0
         cells = y[:, 1:]
-        # real views: the RK4 weights are real, and so act on re and im alike
+        # real views: the RK4 weights are real, and so act on re and im alike;
+        # fm floats per row
         real = buf.view(float)
-        k_real = real[: 16 * m].reshape(4, 4 * m)
-        y_real = real[16 * m: 20 * m]
-        acc_real = np.empty(4 * m)
+        fm = real.size // buf.size * m
+        k_real = real[: 8 * fm].reshape(4, 2 * fm)
+        y_real = real[8 * fm: 10 * fm]
+        acc_real = np.empty(2 * fm)
         stages = []
         for s in range(4):
             # stage s starts from y + c k[s - 1]: those two rows as one array
             rows = None if s == 0 else as_strided(
-                real[4 * (s - 1) * m:], shape=(2, 4 * m),
-                strides=((20 - 4 * s) * m * real.itemsize, real.itemsize), writeable=False,
+                real[2 * (s - 1) * fm:], shape=(2, 2 * fm),
+                strides=((10 - 2 * s) * fm * real.itemsize, real.itemsize), writeable=False,
             )
-            state = real[(16 + 6 * s) * m: (20 + 6 * s) * m]
+            state = real[(8 + 3 * s) * fm: (10 + 3 * s) * fm]
             stages.append((rows, state, st[s, 0], st[s, 2], st[s], k[s], st[s, 0, 1:]))
         tail_view = st[:, 2, -1]
         # stages 1-4 read the drive at half-grid points 2j, 2j + 1, 2j + 1, 2j + 2
@@ -284,20 +325,20 @@ class _Integrator:
             h = steps[b0: b0 + _STEP_BLOCK]
             e = e_half[2 * b0: 2 * (b0 + h.size) + 1]
             w = w_half[2 * b0: 2 * (b0 + h.size) + 1]
-            coef = np.zeros((e.size, 2, 3), dtype=complex)
+            coef = np.zeros((e.size, 2, 3), dtype=dtype)
             coef[:, 0, 0] = alpha
-            coef[:, 0, 1] = 1j * w
+            coef[:, 0, 1] = rot_in * w
             coef[:, 0, 2] = -beta
-            coef[:, 1, 0] = 1j * w.conj()
-            ghost = (-1j * sqrt_d / beta) * e
+            coef[:, 1, 0] = rot_out * w.conj()
+            ghost = (-rot_in * sqrt_d / beta) * e
             # stage s > 0 starts from y + (h/2, h/2, h) k[s - 1]
             stage_c = np.ones((h.size, 4, 2))
             stage_c[:, :, 0] = h[:, None] * [0.0, 0.5, 0.5, 1.0]
             weights = (h / 6.0)[:, None] * rk4_weights
             e2 = np.abs(e) ** 2
             budget = acc_in + np.cumsum(weights[:, 0] * (e2[:-1:2] + 4.0 * e2[1::2] + e2[2::2]))
-            tails = np.empty((h.size, 4), dtype=complex)
-            sums = np.empty((h.size, 4), dtype=complex)
+            tails = np.empty((h.size, 4), dtype=dtype)
+            sums = np.empty((h.size, 4), dtype=dtype)
             for c0 in range(0, h.size, _CHECK_EVERY):
                 c1 = min(c0 + _CHECK_EVERY, h.size)
                 for j in range(c0, c1):
@@ -327,7 +368,7 @@ class _Integrator:
                     raise InstabilityError(
                         "excitation grew beyond the injected energy; reduce dtau"
                     )
-            fields = (1j * sqrt_d * dz) * tails
+            fields = (rot_out * sqrt_d * dz) * tails
             acc_in = float(budget[-1])
             acc_leak += float(np.sum(weights * np.abs(fields) ** 2))
             acc_dec += dec_rate * float(np.sum(weights * sums.real))
@@ -336,6 +377,8 @@ class _Integrator:
                 # previous step's end, so its exit-face field is that output
                 out[b0: b0 + h.size] = fields[:, 0]
         p, s = y[0, 1:], y[1, 1:]
+        if real_run:
+            p, s = 1j * p, s.astype(complex)
         if record_output:
             out[n_steps] = self.field_profile(p, e_half[2 * n_steps])[1]
         return p, s, out, acc_in, acc_leak, acc_dec, n0
@@ -505,7 +548,7 @@ def _simulate(
         input_norm2=acc_in, initial_excitation=n0, stored=stored, leaked=leaked,
         decayed=decayed, residual_polarization=residual_p, defect=defect, kind=kind,
         dtau=dt, n_steps=n_steps, dtau_min=dt_min, n_zeta=n_zeta, refinements=refinements,
-        ring_down_time=ring_time,
+        ring_down_time=ring_time, arithmetic="complex" if integ.complex_steps else "real",
     )
     return SimulationResult(
         final_state=state, output_mode=out_mode, breakdown=br, diagnostics=diagnostics

@@ -467,3 +467,29 @@ class TestOptimalStorageControl:
         overlap = abs(np.dot(s.grid.weights, np.conj(s.samples) * stored_flipped.samples))
         fidelity = overlap**2 / (spinwave_norm2(stored_flipped) * 1.0)
         assert fidelity > 0.999
+
+    @pytest.mark.parametrize("d", [3.0, 100.0])
+    def test_resonant_control_is_exactly_real(self, reference_input, d):
+        # the phase is the unit phasor of a real reference, so no rounding of
+        # exp(i pi) leaves an imaginary part that would keep a simulation of
+        # the control off the real subspace
+        res = optimal_storage_control(reference_input, MediumParams(d=d))
+        assert not np.any(res.control.samples.imag)
+        assert not np.any(res.retrieval_control.samples.imag)
+
+    @pytest.mark.parametrize("delta", [20.0, -50.0])
+    def test_raman_control_phase_is_the_closed_form_phase(
+        self, reference_input, optimal_modes, delta
+    ):
+        s, _ = optimal_modes[10.0]
+        params = MediumParams(d=10.0, delta=delta)
+        target = time_reverse(reference_input)
+        res = shape_retrieval_control(s, target, params)
+        q = _emission_interpolant(s, params, res.h_max)
+        phase_ref = -target.samples * np.conj(q(res.h.h))
+        om = res.control.samples
+        # where phase_ref is 0 (the input's ends) the phase is 0 by definition
+        on = (np.abs(om) > 0) & (np.abs(phase_ref) > 0)
+        assert np.count_nonzero(on) > om.size // 2
+        expected = np.abs(om) * np.exp(1j * np.angle(phase_ref))
+        assert np.max(np.abs(om - expected)[on] / np.abs(om[on])) <= 1e-15

@@ -147,6 +147,21 @@ class TestCommands:
         assert np.all(rows["eta_back"] >= rows["eta_forw"] - 1e-12)
         assert np.all(rows["eta_back"] >= rows["eta_square"] - 1e-12)
 
+    def test_curves_csv_independent_of_jobs(self, tmp_path):
+        sweep = ["curves", "--d-min", "1", "--d-max", "60", "--d-points", "3"]
+        for jobs in ("1", "2"):
+            assert main([*sweep, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert (tmp_path / "1" / "curves.csv").read_bytes() == (
+            tmp_path / "2" / "curves.csv"
+        ).read_bytes()
+
+    def test_jobs_workers_start_with_single_threaded_blas(self):
+        before = {key: os.environ.get(key) for key in cli._BLAS_THREAD_VARS}
+        with cli._worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, cli._BLAS_THREAD_VARS))
+        assert seen == ["1"] * len(cli._BLAS_THREAD_VARS)
+        assert {key: os.environ.get(key) for key in cli._BLAS_THREAD_VARS} == before
+
     def test_curve_point_skips_ring_down(self, monkeypatch):
         # only the stored spin wave is read, and the ring-down leaves it unchanged
         import photonmem.simulator

@@ -69,6 +69,12 @@ class TestGrids:
         assert abs(g.weights.sum() - 1.0) < 1e-12
         assert g.is_symmetric
 
+    def test_gauss_grid_built_once_per_node_count(self):
+        g = SpaceGrid.gauss_legendre(96)
+        assert SpaceGrid.gauss_legendre(96) is g
+        assert SpaceGrid.gauss_legendre(97) is not g
+        assert not g.nodes.flags.writeable and not g.weights.flags.writeable
+
     def test_space_grid_rejects_bad_weights(self):
         with pytest.raises(GridError):
             SpaceGrid(nodes=[0.2, 0.8], weights=[0.7, 0.7])

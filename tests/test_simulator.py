@@ -371,6 +371,27 @@ class TestScaledSystemStructure:
         assert np.max(np.abs(st.P.real)) < 1e-10
         assert np.max(np.abs(run.output_mode.samples.imag)) < 1e-10
 
+    def test_resonant_runs_step_in_the_real_subspace(self, reference_input):
+        # storage then retrieval at delta = 0 with real drives: every step is
+        # real, so the quadrature structure holds exactly, not to rounding
+        params = MediumParams(d=10.0)
+        ctrl = constant_control(1.3, 20.0, 2001)
+        store = simulate_storage(reference_input, ctrl, params)
+        stored = SpinWave(grid=store.final_state.grid, samples=store.final_state.S)
+        back = simulate_retrieval(stored, ctrl, params)
+        for run in (store, back):
+            st = run.final_state
+            assert run.diagnostics["arithmetic"] == run.diagnostics.arithmetic == "real"
+            assert not np.any(st.P.real) and not np.any(st.S.imag)
+            assert not np.any(run.output_mode.samples.imag)
+        assert np.any(back.output_mode.samples.real)
+
+    def test_raman_runs_step_complex(self, reference_input):
+        run = simulate_storage(
+            reference_input, constant_control(1.3, 20.0, 2001), MediumParams(d=10.0, delta=5.0)
+        )
+        assert run.diagnostics["arithmetic"] == "complex"
+
 
 class TestClosedFormAgreement:
     def test_adiabatic_output_matches_simulation(self, optimal_modes, uniform_grid):
@@ -556,9 +577,12 @@ class TestFusedStep:
         return p0, s0, 0.5, dt, n_steps, e_half, om_half
 
     @staticmethod
-    def _assert_matches_reference(params, n_zeta, args):
-        fused = _Integrator(params, n_zeta).run(*args)
-        ref = _ReferenceIntegrator(params, n_zeta).run(*args)
+    def _assert_matches_reference(params, n_zeta, args, arithmetic=None, damping=1.0):
+        integ = _Integrator(params, n_zeta, damping=damping)
+        fused = integ.run(*args)
+        if arithmetic is not None:
+            assert integ.complex_steps == (0 if arithmetic == "real" else args[4])
+        ref = _ReferenceIntegrator(params, n_zeta, damping=damping).run(*args)
         for name, a, b in zip(("p", "s", "out", "acc_in", "acc_leak", "acc_dec", "n0"), fused, ref):
             if b is None:
                 assert a is None, name
@@ -601,3 +625,67 @@ class TestFusedStep:
             assert np.array_equal(a, b)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def _real_case(n_zeta, n_steps, seed):
+        # the resonant subspace: P imaginary, S, the input and the control real
+        rng = np.random.default_rng(seed)
+        p0 = 0.3j * rng.normal(size=n_zeta)
+        s0 = rng.normal(size=n_zeta).astype(complex)
+        t = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+        e_half = (0.8 * np.sin(3.0 * t) + 0.2).astype(complex)
+        om_half = (1.5 * np.exp(-t) + 0.4).astype(complex)
+        return p0, s0, e_half, om_half
+
+    @pytest.mark.parametrize("n_zeta", [64, 512])
+    @pytest.mark.parametrize("damping", [1.0, 0.0])
+    @pytest.mark.parametrize("per_step_dt", [False, True])
+    @pytest.mark.parametrize("record_output", [True, False])
+    def test_real_subspace_matches_stage_by_stage_reference(
+        self, n_zeta, damping, per_step_dt, record_output
+    ):
+        n_steps = 150
+        p0, s0, e_half, om_half = self._real_case(n_zeta, n_steps, n_zeta)
+        dt = np.random.default_rng(1).uniform(0.005, 0.015, n_steps) if per_step_dt else 0.01
+        args = (p0, s0, 0.5, dt, n_steps, e_half, om_half, record_output)
+        p, s, out, *_ = self._assert_matches_reference(
+            MediumParams(d=10.0), n_zeta, args, "real", damping
+        )
+        assert p.dtype == s.dtype == complex
+        assert not np.any(p.real) and not np.any(s.imag)
+        if record_output:
+            assert not np.any(out.imag)
+
+    @pytest.mark.parametrize("leaves", ["delta", "e_in", "omega", "p0", "s0"])
+    def test_inputs_off_the_real_subspace_step_complex(self, leaves):
+        # one nonzero number outside the subspace sends the run down the
+        # complex path, however small it is
+        n_zeta, n_steps = 128, 150
+        p0, s0, e_half, om_half = self._real_case(n_zeta, n_steps, 8)
+        delta = 3.0 if leaves == "delta" else 0.0
+        if leaves == "e_in":
+            e_half[17] += 1e-300j
+        elif leaves == "omega":
+            om_half[17] += 1e-300j
+        elif leaves == "p0":
+            p0[5] += 0.1
+        elif leaves == "s0":
+            s0[5] += 0.1j
+        args = (p0, s0, 0.5, 0.01, n_steps, e_half, om_half)
+        self._assert_matches_reference(MediumParams(d=10.0, delta=delta), n_zeta, args, "complex")
+
+    def test_real_subspace_keeps_the_instability_checks(self):
+        # a strong real control far outside RK4's stability region at this
+        # step: the growth check trips while the state is still finite, and a
+        # stronger one overflows into the non-finite check
+        n_zeta, n_steps = 64, 200
+        p0, s0, _, _ = self._real_case(n_zeta, n_steps, 9)
+        zeros = np.zeros(2 * n_steps + 1, dtype=complex)
+        for omega, message in ((60.0, "excitation grew beyond"), (1e4, "non-finite state")):
+            integ = _Integrator(MediumParams(d=5.0), n_zeta)
+            om_half = np.full(2 * n_steps + 1, omega, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                InstabilityError, match=message
+            ):
+                integ.run(p0, s0, 0.0, 0.05, n_steps, zeros, om_half, record_output=False)
+            assert integ.complex_steps == 0
