@@ -320,15 +320,38 @@ def resample_spinwave(s: SpinWave, grid: SpaceGrid) -> SpinWave:
     return SpinWave(grid=grid, samples=vals)
 
 
-def _resample_waveform(wf: FieldMode | ControlField, times: np.ndarray) -> np.ndarray:
-    """Cubic-spline values of a sampled waveform at ``times``, zero outside
-    its window (up to a 1e-12 margin at either end)."""
-    from scipy.interpolate import CubicSpline
+class _WaveformSpline:
+    """Cubic spline of a sampled waveform, built once and read many times.
 
-    g = wf.grid
-    vals = np.asarray(CubicSpline(g.times, wf.samples)(times), dtype=complex)
-    vals[(times < g.tau0 - 1e-12) | (times > g.t_end + 1e-12)] = 0.0
-    return vals
+    A call gives its values at an array of times, zero outside the window
+    (up to a 1e-12 margin at either end); ``integral`` gives its integral
+    from the window's start, which outside the window is constant, from the
+    integrals up to each knot and the piece's coefficients.
+    """
+
+    def __init__(self, wf: FieldMode | ControlField):
+        from scipy.interpolate import CubicSpline
+
+        g = wf.grid
+        self._spline = CubicSpline(g.times, wf.samples)
+        self._window = (g.tau0, g.t_end)
+        c, dx = self._spline.c, np.diff(self._spline.x)
+        pieces = dx * (c[3] + dx * (c[2] / 2 + dx * (c[1] / 3 + dx * c[0] / 4)))
+        self._knot_integrals = np.concatenate(([0.0], np.cumsum(pieces)))
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        lo, hi = self._window
+        vals = np.asarray(self._spline(times), dtype=complex)
+        vals[(times < lo - 1e-12) | (times > hi + 1e-12)] = 0.0
+        return vals
+
+    def integral(self, times: np.ndarray) -> np.ndarray:
+        x = self._spline.x
+        t = np.clip(times, *self._window)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+        u = t - x[i]
+        c = self._spline.c[:, i]
+        return self._knot_integrals[i] + u * (c[3] + u * (c[2] / 2 + u * (c[1] / 3 + u * c[0] / 4)))
 
 
 # Chebyshev interpolation of a smooth function on an interval: values at

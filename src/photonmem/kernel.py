@@ -60,16 +60,23 @@ def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarr
     return sw[:, None] * k * sw[None, :], sw
 
 
-def _check_resolved(eta: float, d: float, grid: SpaceGrid) -> None:
-    """Reject a dominant eigenvalue above 1, which no spin wave can reach.
+# From d = 10^3 on, (1 - eta_max) d of a resolved grid lies between 2.78 and
+# 2.88 (it tends to about 2.9); under-resolved grids give less
+_LARGE_D = 1e3
+_LARGE_D_MIN_GAP = 2.7
 
-    The exact maximum efficiency is below 1 at every depth; a larger value
+
+def _check_resolved(eta: float, d: float, grid: SpaceGrid) -> None:
+    """Reject a dominant eigenvalue no resolved grid gives.
+
+    The exact maximum efficiency is below 1 at every depth, and from d =
+    10^3 on (1 - eta_max) d is at least 2.7.  A value beyond either bound
     means the quadrature grid under-resolves the kernel (its boundary layer
     narrows as d grows).
     """
-    if eta > 1.0:
+    if eta > 1.0 or (d >= _LARGE_D and (1.0 - eta) * d < _LARGE_D_MIN_GAP):
         raise GridError(
-            f"eta_max = {eta:.6g} > 1 at d={d:g} on {grid.n} nodes: the grid "
+            f"eta_max = {eta:.6g} at d={d:g} on {grid.n} nodes: the grid "
             "under-resolves the kernel; use more Gauss nodes"
         )
 

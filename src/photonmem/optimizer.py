@@ -31,7 +31,7 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
-    _resample_waveform,
+    _WaveformSpline,
     _trapezoid_weights,
     flip,
     mode_norm2,
@@ -261,7 +261,7 @@ def optimize_storage_retrieval(
     fwd_retr = retrieval_matrix(ctrl, params, grid)
     fwd_store = _storage_from_retrieval(fwd_retr, ctrl.grid, grid)
     tw = _trapezoid_weights(ctrl.grid)
-    u = _resample_waveform(input_mode, ctrl.grid.times)
+    u = _WaveformSpline(input_mode)(ctrl.grid.times)
     nrm = math.sqrt(float(tw @ np.abs(u) ** 2))
     if nrm <= 0:
         raise ValueError("input mode vanishes on the iteration window")

@@ -51,15 +51,29 @@ with the ghost g' = -sqrt(d) E_in / beta and the exit-face field
 agree to rounding; the run's record says which one it took
 (``AuditReport.arithmetic``).
 
-Time stepping is two-level.  The window is split into uniform coarse steps
-sized by the medium (detuning, optical depth) and by the sampling of the
-input and control, but not by the control's strength.  Each coarse step is
-cut into equal RK4 substeps as the control's local magnitude requires, so a
-brief strong spike of a shaped control no longer sets the step for the whole
-window.  The output field is kept at the coarse boundaries, which are exact
-RK4 states, so it stays on a uniform time grid.  Where no step needs a
-substep the step sequence is exactly the uniform one; an explicit ``dtau``
-always runs uniform.
+Time stepping follows an error estimate, not the sampling of the inputs.
+Classical RK4 carries a free embedded third-order estimate: with k5 the
+next step's first stage, a step's local error is about (h/6)(k4 - k5)
+(Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
+sec. II.4).  It is taken for the state (P, S), whose norm is held to
+``_STEP_TOL`` of the amplitude of the run's photon number, and for the
+leaked and decayed energies, held to ``_ENERGY_TOL`` of the photon number.
+The stages see each drive only at t, t + h/2 and t + h, so a step also
+carries the error of Simpson's rule on those values against the drive
+spline's exact integral, times the state's sensitivity to the drive: the
+embedded estimate is blind to drive structure between stage times, such as
+a spline's ringing at a kink of a sampled control.  Steps come in chunks of
+``_CHUNK`` at one step size, with the drives evaluated once per chunk at
+its stage times, from one cubic spline per waveform.  A step that fails
+its tolerance is undone and its chunk ends before it; a chunk that cannot
+keep its first step is redone from its saved start.  The failed step's
+estimate, or the chunk's largest, sets the next chunk's step (an
+elementary controller), at most the medium's step bound.  The output field
+is written on the caller's uniform grid from each step's cubic Hermite
+interpolant (same book, sec. II.6), whose values and slopes come from the
+exit-face sums the stages record.  The ring-down runs under the same
+controller with the drives off.  An explicit ``dtau`` runs uniform steps
+throughout.
 """
 
 from __future__ import annotations
@@ -80,8 +94,9 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
-    _resample_waveform,
+    _WaveformSpline,
     flip,
+    mode_norm2,
     resample_spinwave,
 )
 
@@ -103,11 +118,17 @@ DEFECT_TOL = 1e-4
 RING_DOWN_P_TOL = 1e-10
 RING_DOWN_MAX_TIME = 40.0
 MAX_STEPS = 20_000_000
-# RK4 steps per block of stage coefficients and per-stage records; the
-# integrator's scratch memory scales with this, not with the run length
-_STEP_BLOCK = 4096
-# steps between instability checks; divides _STEP_BLOCK
-_CHECK_EVERY = 64
+# RK4 steps per chunk: one step size, one drive evaluation, one keep-or-redo
+# decision and one instability check each; the scratch memory scales with
+# this, not with the run length
+_CHUNK = 64
+# largest local error estimates of a kept step: of the state (P, S),
+# relative to the amplitude of the run's photon number, and of the leaked
+# and decayed energies, relative to the run's photon number
+_STEP_TOL = 1e-6
+_ENERGY_TOL = 3e-9
+# per-chunk step changes: safety factor, largest growth, largest shrink
+_SAFETY, _GROW, _SHRINK = 0.9, 4.0, 0.2
 # RK4 steps across a finite pi pulse
 _PI_PULSE_STEPS = 256
 
@@ -135,8 +156,10 @@ class AuditReport:
     """The record of one run: its photon-number bookkeeping and its steps.
 
     ``defect`` is the imbalance; ``kind`` is "storage" or "retrieval";
-    ``dtau`` is the coarse step, ``n_steps`` counts the window's RK4 steps,
-    substeps included, and ``dtau_min`` is the smallest of them.
+    ``n_steps`` counts the kept RK4 steps, ring-down included, ``dtau`` and
+    ``dtau_min`` are the largest and the smallest of them, ``refinements``
+    counts the redone chunks and ``local_error`` is the largest kept local
+    error estimate, relative to the amplitude of the run's photon number.
     ``arithmetic`` is "real" when every RK4 step of the run stayed in the
     real subspace of the module docstring, else "complex".
     ``record["key"]`` reads field ``key``.
@@ -157,6 +180,7 @@ class AuditReport:
     refinements: int
     ring_down_time: float
     arithmetic: str
+    local_error: float
 
     def __getitem__(self, key: str):
         if key not in self.__dataclass_fields__:
@@ -175,57 +199,80 @@ class SimulationResult:
     diagnostics: AuditReport
 
 
-def _waveform_on(times: np.ndarray, wf: Waveform) -> np.ndarray:
-    """Input or control values at the given times; ``None`` is switched off."""
-    if wf is None:
-        return np.zeros(times.size, dtype=complex)
-    return _resample_waveform(wf, times)
+def _medium_dtau(params: MediumParams) -> float:
+    """Step resolving the detuning rotation and the collective coupling, at most 0.05."""
+    return min(0.05, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
 
 
-def _medium_dtau(params: MediumParams, cap: float) -> float:
-    """Step resolving the detuning rotation and the collective coupling, at most ``cap``."""
-    return min(cap, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
+def _output_grid(params: MediumParams, window, ctrl: Waveform, input_mode, dtau) -> TimeGrid:
+    """Uniform grid of the output field: equal spacings of at most ``dtau``,
+    or when it is ``None`` of at most the medium's step bound and the
+    sampling of a sampled control or input.  It sets where the output is
+    written; only an explicit ``dtau`` also sets the RK4 steps."""
+    if dtau is None:
+        dtau = _medium_dtau(params)
+        if isinstance(ctrl, ControlField):
+            dtau = min(dtau, ctrl.grid.dtau)
+        if input_mode is not None:
+            dtau = min(dtau, input_mode.grid.dtau)
+    t0, t1 = window
+    n = max(2, int(math.ceil((t1 - t0) / dtau - 1e-12)))
+    if n > MAX_STEPS:
+        raise InstabilityError(f"required {n} output samples exceeds limit; widen dtau")
+    return TimeGrid(tau0=t0, dtau=(t1 - t0) / n, n=n + 1)
 
 
-def default_dtau(
-    params: MediumParams,
-    ctrl: Waveform,
-    input_mode: FieldMode | None = None,
-) -> float:
-    """Coarse step: resolve the detuning rotation, collective coupling, and
-    the sampling of a sampled control or input.
+class _Uniform:
+    """Equal steps of ``h``: every step is kept, and an unstable chunk raises."""
 
-    The control's strength is left out; :func:`_substeps` cuts each coarse
-    step into as many RK4 substeps as the control there needs.
+    adaptive = False
+    tol = energy_tol = math.inf
+
+    def __init__(self, h: float):
+        self.h = h
+
+    def judge(self, ratio: float, h: float) -> None:
+        pass
+
+
+class _Controller:
+    """The next chunk's step from the chunk's largest local error estimate.
+
+    A step is kept while the estimate of its state error is at most
+    ``tol``, ``_STEP_TOL`` times ``amplitude``, that of the run's photon
+    number, and that of its leaked and decayed energy at most
+    ``energy_tol``, ``_ENERGY_TOL`` times the photon number.
+    ``judge(ratio, h)`` takes the larger estimate over its bound, for the
+    step a chunk ended before or the chunk's largest, and sets ``self.h`` to
+    h * safety * ratio^(-1/4), the elementary controller of a third-order
+    estimate, changed by at most ``_GROW`` or ``_SHRINK`` and at most
+    ``h_max``.  A non-finite ratio shrinks the step most.
     """
-    dt = _medium_dtau(params, 0.05)
-    if isinstance(ctrl, ControlField):
-        dt = min(dt, ctrl.grid.dtau)
-    if input_mode is not None:
-        dt = min(dt, input_mode.grid.dtau)
-    return dt
 
+    adaptive = True
 
-def _substeps(om_half: np.ndarray, dt: float, scale: float) -> np.ndarray:
-    """Equal RK4 substeps per coarse step of size ``dt``.
+    def __init__(self, h_max: float, amplitude: float):
+        self.h = self.h_max = h_max
+        self.tol = _STEP_TOL * amplitude
+        self.energy_tol = _ENERGY_TOL * amplitude**2
 
-    Coarse step k is resolved at the looser of a power-resolving bound
-    (.5/|w|^2, right for moderate drives) and a rotation-resolving bound
-    (.3/|w|, right for brief strong spikes such as shaped-control leading
-    edges), where w is the largest |omega| at its three half-grid points of
-    ``om_half``.  ``scale`` shrinks that bound with each audit refinement;
-    the balance-defect refinement loop catches any case where the bound is
-    too optimistic.
-    """
-    a = np.abs(om_half)
-    w = np.maximum(np.maximum(a[:-1:2], a[1::2]), a[2::2])
-    # dt / bound without dividing by w, which is subnormal where a drive returns to 0
-    per_step = (dt / scale) * np.minimum(2.0 * w**2, w / 0.3)
-    return np.maximum(1, np.ceil(per_step - 1e-12)).astype(np.int64)
+    def judge(self, ratio: float, h: float) -> None:
+        if ratio == 0.0:
+            factor = _GROW
+        elif math.isfinite(ratio):
+            factor = min(_GROW, max(_SHRINK, _SAFETY * ratio ** -0.25))
+        else:
+            factor = _SHRINK
+        self.h = min(self.h_max, h * factor)
 
 
 class _Integrator:
-    """RK4 evolution of (P, S) plus energy accumulators on a fixed window."""
+    """RK4 evolution of (P, S) plus energy accumulators.
+
+    The integrator keeps the counts of all its marches: kept steps, steps
+    outside the real subspace, redone chunks, the largest and smallest kept
+    step and the largest kept local error estimate.
+    """
 
     def __init__(self, params: MediumParams, n_zeta: int, damping: float = 1.0):
         self.params = params
@@ -234,8 +281,8 @@ class _Integrator:
         self.sqrt_d = math.sqrt(params.d)
         self.damping = damping
         self.decay_coeff = -(damping + 1j * params.delta)
-        # RK4 steps taken outside the real subspace, over all runs
-        self.complex_steps = 0
+        self.n_steps = self.complex_steps = self.redone = self.tried = 0
+        self.dt_max, self.dt_min, self.error_max = 0.0, math.inf, 0.0
 
     def field_profile(self, p: np.ndarray, e_in: complex):
         """Cell-center field values and the exit-face value for given P."""
@@ -244,38 +291,49 @@ class _Integrator:
         e_centers = e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
         return e_centers, e_end
 
-    def run(self, p0, s0, t0, dt, n_steps, e_in_half, om_half, record_output=True):
-        """March n_steps of RK4; half-grid arrays hold the drive at stage times.
+    def march(self, p0, s0, window, input_mode: Waveform, ctrl: Waveform, steps,
+              out_times=None, stop=None):
+        """RK4 from (p0, s0) across ``window`` in chunks sized by ``steps``.
 
-        ``dt`` is one step size for all steps or an array of per-step sizes.
-        Every stage works in one buffer allocated per call: the four stage
-        derivatives [dP, dS], then the four stage states [P, S, C] with the
-        ghost cell of the module docstring in column 0; stage 1's state is
-        y = [P, S] itself.  A stage is one cumulative sum, one 2x3 product
-        and one ``vdot`` for sum|P|^2; the next stage's state is one product
-        of [c, 1] with the rows [k, y].  The stage coefficients are built one
-        block of ``_STEP_BLOCK`` steps at a time, and the exit-face fields and
-        |P|^2 sums each stage records are reduced into the leaked energy, the
-        decayed energy and the output after each block.  The input energy
-        depends on the drive alone and comes from a cumulative sum, which is
-        also the injected budget of the growth check.
+        ``input_mode`` and ``ctrl`` are sampled waveforms or ``None`` (off);
+        each becomes one cubic spline, read once per chunk at the chunk's
+        stage times t + h (0, 1/2, 1, ..., n).  ``steps`` is the step policy,
+        :class:`_Controller` or :class:`_Uniform`; the last chunk is cut to
+        end on the window's end.  Every stage works in one buffer allocated
+        per call: the four stage derivatives [dP, dS], then the four stage
+        states [P, S, C] with the ghost cell of the module docstring in
+        column 0; stage 1's state is y = [P, S] itself.  A stage is one
+        cumulative sum, one 2x3 product and one ``vdot`` for sum|P|^2, and
+        the next stage's state is one product of [c, 1] with the rows
+        [k, y].  A step's first stage also gives the previous step's error
+        estimate (h/6)|k4 - k1|, and one more first stage at the chunk's end
+        the last one's.  The exit-face fields and |P|^2 sums the stages
+        record are reduced into the input, leaked and decayed energies of a
+        chunk once it is kept.
+
+        With ``out_times`` (ascending, inside the window) the exit field is
+        returned there: the input plus i sqrt(d) dz F, F = sum(P), from
+        each step's cubic Hermite interpolant of F.  F is a stage's tail
+        minus its ghost, and stage 2 starts from y + (h/2) k1, so its F
+        minus stage 1's is (h/2) F'.  With ``stop`` the march ends after the
+        first chunk that leaves dz sum|P|^2 at or below it.
 
         When the inputs lie in the real subspace of the module docstring the
         buffer is real and holds [p, S, C_p] with P = i p; P, S and the output
-        are returned complex either way.
+        are returned complex either way.  Returns (p, s, out, acc_in,
+        acc_leak, acc_dec, n0, t_end).
         """
         n, dz, sqrt_d = self.grid.n, self.dz, self.sqrt_d
         m = n + 1
         alpha = self.decay_coeff + 0.5 * self.params.d * dz
         beta = self.params.d * dz
         dec_rate = 2.0 * self.damping * dz
-        steps = np.broadcast_to(np.asarray(dt, dtype=float), (n_steps,))
-        e_half = np.asarray(e_in_half, dtype=complex)
-        w_half = np.asarray(om_half, dtype=complex)
+        waves = (input_mode, ctrl)
+        e_of, w_of = (None if wf is None else _WaveformSpline(wf) for wf in waves)
         p0, s0 = np.asarray(p0), np.asarray(s0)
         real_run = (
             self.params.delta == 0.0
-            and not np.any(e_half.imag) and not np.any(w_half.imag)
+            and not any(wf is not None and np.any(wf.samples.imag) for wf in waves)
             and not np.any(p0.real) and not np.any(s0.imag)
         )
         # the factors of omega and the ghost in the P row (rot_in) and of
@@ -283,11 +341,10 @@ class _Integrator:
         # after P = i p, i/i = 1 and i*i = -1
         if real_run:
             dtype, rot_in, rot_out = float, 1.0, -1.0
-            alpha, e_half, w_half = alpha.real, e_half.real, w_half.real
+            alpha = alpha.real
             p0, s0 = p0.imag, s0.real
         else:
             dtype, rot_in, rot_out = complex, 1j, 1j
-            self.complex_steps += n_steps
 
         buf = np.zeros(20 * m, dtype=dtype)
         k = buf[: 8 * m].reshape(4, 2, m)
@@ -303,167 +360,222 @@ class _Integrator:
         k_real = real[: 8 * fm].reshape(4, 2 * fm)
         y_real = real[8 * fm: 10 * fm]
         acc_real = np.empty(2 * fm)
+        saved = np.empty(2 * fm)
+        # stage s > 0 starts from y + c_s k[s - 1], c = h/2, h/2, h, and reads
+        # the drive at half-step point 2j + 1, 2j + 1, 2j + 2 of step j
+        stage_c = np.ones((3, 2))
         stages = []
-        for s in range(4):
-            # stage s starts from y + c k[s - 1]: those two rows as one array
-            rows = None if s == 0 else as_strided(
+        for s, point in zip((1, 2, 3), (1, 1, 2)):
+            rows = as_strided(
                 real[2 * (s - 1) * fm:], shape=(2, 2 * fm),
                 strides=((10 - 2 * s) * fm * real.itemsize, real.itemsize), writeable=False,
             )
             state = real[(8 + 3 * s) * fm: (10 + 3 * s) * fm]
-            stages.append((rows, state, st[s, 0], st[s, 2], st[s], k[s], st[s, 0, 1:]))
+            stages.append((s, stage_c[s - 1], rows, state, point, st[s, 0], st[s, 2], st[s], k[s],
+                           st[s, 0, 1:]))
+        p_row, c_row, psc, k1, p_cells = st[0, 0], st[0, 2], st[0], k[0], st[0, 0, 1:]
+        # k4 - k1 from the P row's first cell on: the S ghosts of the two are
+        # equal (the drive and the ghost at the same time), the P ghosts not
+        gw = fm // m
+        k4_cells, k1_cells = k_real[3, gw:], k_real[0, gw:]
+        diff = np.empty(2 * fm - gw)
         tail_view = st[:, 2, -1]
-        # stages 1-4 read the drive at half-grid points 2j, 2j + 1, 2j + 1, 2j + 2
-        stage_point = (0, 1, 1, 2)
+        weights = np.empty(4)
         rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
+        coef = np.zeros((2 * _CHUNK + 1, 2, 3), dtype=dtype)
+        coef[:, 0, 0] = alpha
+        coef[:, 0, 2] = -beta
+        ghost_scale = -rot_in * sqrt_d / beta
+        out_scale = rot_out * sqrt_d * dz
+        half_steps = 0.5 * np.arange(2 * _CHUNK + 1)
+        off = np.zeros(2 * _CHUNK + 1, dtype=dtype)
+        tails = np.empty((_CHUNK + 1, 4), dtype=dtype)
+        sums = np.empty((_CHUNK + 1, 4), dtype=dtype)
+        errs = np.empty(_CHUNK)
+        energy_errs = np.empty(_CHUNK)
 
+        t, t1 = window
+        span = t1 - t
         acc_in = acc_leak = acc_dec = 0.0
         n0 = dz * float(np.vdot(cells, cells).real)
-        out = np.empty(n_steps + 1, dtype=complex) if record_output else None
-        dot, vdot, accumulate = np.dot, np.vdot, np.add.accumulate
-        for b0 in range(0, n_steps, _STEP_BLOCK):
-            h = steps[b0: b0 + _STEP_BLOCK]
-            e = e_half[2 * b0: 2 * (b0 + h.size) + 1]
-            w = w_half[2 * b0: 2 * (b0 + h.size) + 1]
-            coef = np.zeros((e.size, 2, 3), dtype=dtype)
-            coef[:, 0, 0] = alpha
-            coef[:, 0, 1] = rot_in * w
-            coef[:, 0, 2] = -beta
-            coef[:, 1, 0] = rot_out * w.conj()
-            ghost = (-rot_in * sqrt_d / beta) * e
-            # stage s > 0 starts from y + (h/2, h/2, h) k[s - 1]
-            stage_c = np.ones((h.size, 4, 2))
-            stage_c[:, :, 0] = h[:, None] * [0.0, 0.5, 0.5, 1.0]
-            weights = (h / 6.0)[:, None] * rk4_weights
-            e2 = np.abs(e) ** 2
-            budget = acc_in + np.cumsum(weights[:, 0] * (e2[:-1:2] + 4.0 * e2[1::2] + e2[2::2]))
-            tails = np.empty((h.size, 4), dtype=dtype)
-            sums = np.empty((h.size, 4), dtype=dtype)
-            for c0 in range(0, h.size, _CHECK_EVERY):
-                c1 = min(c0 + _CHECK_EVERY, h.size)
-                for j in range(c0, c1):
-                    for s, (rows, state, p_row, c_row, psc, ks, p_cells) in enumerate(stages):
-                        if rows is not None:
-                            dot(stage_c[j, s], rows, out=state)
-                        i = 2 * j + stage_point[s]
-                        p_row[0] = ghost[i]
-                        accumulate(p_row, out=c_row)
-                        dot(coef[i], psc, out=ks)
-                        sums[j, s] = vdot(p_cells, p_cells)
-                    tails[j] = tail_view
-                    dot(weights[j], k_real, out=acc_real)
-                    y_real += acc_real
-                    # the ghost S gains i conj(omega) g h per step; keep it bounded
-                    y[1, 0] = 0.0
-                n_now = dz * float(np.vdot(cells, cells).real)
-                if not np.isfinite(n_now):
-                    tau = t0 + math.fsum(steps[: b0 + c1])
-                    raise InstabilityError(
-                        f"non-finite state at tau={tau:.3f}; reduce dtau"
+        out = None if out_times is None else np.empty(out_times.size, dtype=complex)
+        n_out = 0
+        dot, vdot, accumulate, subtract = np.dot, np.vdot, np.add.accumulate, np.subtract
+        done = stop is not None and dz * float(np.vdot(p_cells, p_cells).real) <= stop
+        while not done:
+            h = steps.h
+            left = t1 - t
+            nc = min(_CHUNK, max(1, math.ceil(left / h - 1e-9)))
+            last = nc * h >= left - 1e-9 * h
+            if last:
+                h = left / nc
+            if h < 1e-12 * span:
+                raise InstabilityError(f"step size {h:.3g} underflows at tau={t:.3f}")
+            times = t + h * half_steps[: 2 * nc + 1]
+            e = off[: 2 * nc + 1] if e_of is None else e_of(times)
+            w = off[: 2 * nc + 1] if w_of is None else w_of(times)
+
+            def simpson(v):
+                return (h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2])
+
+            step_in = simpson(np.abs(e) ** 2)
+            n_start = dz * float(np.vdot(cells, cells).real)
+            # a step sees the drives through Simpson's rule on its stage
+            # values; the error of that rule against the spline's integral,
+            # times the state's sensitivity to the drive, is the drives'
+            # share of the step's error
+            drive_err = np.zeros(nc)
+            fail = None  # the error ratio of the step the chunk ends before
+            if steps.adaptive:
+                gains = (sqrt_d, math.sqrt(n_start + step_in.sum()))
+                for f_of, vals, gain in zip((e_of, w_of), (e, w), gains):
+                    if f_of is not None:
+                        exact = np.diff(f_of.integral(times[::2]))
+                        drive_err += gain * np.abs(simpson(vals) - exact)
+                over = np.flatnonzero(drive_err > steps.tol)
+                if over.size:
+                    nc, fail = int(over[0]), float(drive_err[over[0]]) / steps.tol
+                    drive_err, step_in = drive_err[:nc], step_in[:nc]
+                    e, w = e[: 2 * nc + 1], w[: 2 * nc + 1]
+                    if nc == 0:
+                        steps.judge(fail, h)
+                        self.redone += 1
+                        continue
+            if self.tried + nc > MAX_STEPS:
+                raise InstabilityError(f"more than {MAX_STEPS} steps exceeds limit")
+            self.tried += nc
+            # a step whose RK4 estimate exceeds what the drives leave of the
+            # tolerance is undone, and the chunk ends before it
+            limits = ((steps.tol - drive_err) * (6.0 / h)) ** 2 / dz
+            # the embedded estimates of the leaked and decayed energies:
+            # (h/6) times the change of their rates from stage 4 to the
+            # next step's stage 1
+            leak_w, dec_w = (h / 6.0) * abs(out_scale) ** 2, (h / 6.0) * dec_rate
+            if real_run:
+                e, w = e.real, w.real
+            coef[: 2 * nc + 1, 0, 1] = rot_in * w
+            coef[: 2 * nc + 1, 1, 0] = rot_out * w.conj()
+            ghost = ghost_scale * e
+            stage_c[:, 0] = (0.5 * h, 0.5 * h, h)
+            np.multiply(h / 6.0, rk4_weights, out=weights)
+            saved[:] = y_real
+            kept = nc
+            for j in range(nc + 1):
+                p_row[0] = ghost[2 * j]
+                accumulate(p_row, out=c_row)
+                dot(coef[2 * j], psc, out=k1)
+                sums[j, 0] = vdot(p_cells, p_cells)
+                if j:
+                    subtract(k4_cells, k1_cells, out=diff)
+                    errs[j - 1] = vdot(diff, diff)
+                    energy_errs[j - 1] = (
+                        leak_w * abs(abs(tails[j - 1, 3]) ** 2 - abs(tail_view[0]) ** 2)
+                        + dec_w * abs(sums[j - 1, 3].real - sums[j, 0].real)
                     )
-                # leaked/decayed energy never returns, so the excitation still
-                # in the medium can only exceed the injected budget through
-                # numerical blow-up
-                if self.damping >= 1.0 and n_now > n0 + budget[c1 - 1] + 1e-6:
+                    if errs[j - 1] > limits[j - 1] or energy_errs[j - 1] > steps.energy_tol:
+                        y_real -= acc_real
+                        kept = j - 1
+                        fail = max(
+                            ((h / 6.0) * math.sqrt(dz * errs[kept]) + drive_err[kept]) / steps.tol,
+                            energy_errs[kept] / steps.energy_tol,
+                        )
+                        break
+                if j == nc:
+                    tails[j, 0] = tail_view[0]
+                    break
+                for s, c, rows, state, point, s_p_row, s_c_row, s_psc, ks, s_p_cells in stages:
+                    dot(c, rows, out=state)
+                    i = 2 * j + point
+                    s_p_row[0] = ghost[i]
+                    accumulate(s_p_row, out=s_c_row)
+                    dot(coef[i], s_psc, out=ks)
+                    sums[j, s] = vdot(s_p_cells, s_p_cells)
+                tails[j] = tail_view
+                dot(weights, k_real, out=acc_real)
+                y_real += acc_real
+                # the ghost S gains i conj(omega) g h per step; keep it bounded
+                y[1, 0] = 0.0
+            step_err = (h / 6.0) * np.sqrt(dz * errs[:kept]) + drive_err[:kept]
+            n_now = dz * float(np.vdot(cells, cells).real)
+            if not np.isfinite(n_now):
+                if not steps.adaptive:
+                    raise InstabilityError(
+                        f"non-finite state at tau={t + nc * h:.3f}; reduce dtau"
+                    )
+                kept, fail = 0, math.inf
+            # leaked/decayed energy never returns, so the excitation still in
+            # the medium can only exceed the injected budget through
+            # numerical blow-up
+            elif self.damping >= 1.0 and n_now > n0 + acc_in + step_in[:kept].sum() + 1e-6:
+                if not steps.adaptive:
                     raise InstabilityError(
                         "excitation grew beyond the injected energy; reduce dtau"
                     )
-            fields = (rot_out * sqrt_d * dz) * tails
-            acc_in = float(budget[-1])
-            acc_leak += float(np.sum(weights * np.abs(fields) ** 2))
-            acc_dec += dec_rate * float(np.sum(weights * sums.real))
-            if record_output:
-                # the first stage of a step sees the state and drive of the
-                # previous step's end, so its exit-face field is that output
-                out[b0: b0 + h.size] = fields[:, 0]
+                kept, fail = 0, math.inf
+            # the next chunk's step from the error ratio of the step that
+            # failed, if one did, else from the chunk's largest
+            if fail is None:
+                steps.judge(max(float(step_err.max()) / steps.tol,
+                                float(energy_errs[:kept].max()) / steps.energy_tol), h)
+            else:
+                steps.judge(fail, h)
+                self.redone += 1
+                last = False
+                if kept == 0:
+                    y_real[:] = saved
+                    continue
+            self.n_steps += kept
+            if not real_run:
+                self.complex_steps += kept
+            self.dt_max, self.dt_min = max(self.dt_max, h), min(self.dt_min, h)
+            self.error_max = max(self.error_max, float(step_err.max()))
+            acc_in += float(step_in[:kept].sum())
+            acc_leak += abs(out_scale) ** 2 * float(np.sum(np.abs(tails[:kept]) ** 2 @ weights))
+            acc_dec += dec_rate * float(np.sum(sums[:kept].real @ weights))
+            t_next = t1 if last else t + kept * h
+            if out is not None:
+                hi = out.size if last else int(np.searchsorted(out_times, t_next))
+                tau = out_times[n_out:hi]
+                f = tails[: kept + 1, 0] - ghost[: 2 * kept + 1: 2]
+                df = np.empty(kept + 1, dtype=dtype)
+                r = min(kept + 1, nc)  # the steps whose second stage ran
+                df[:r] = (2.0 / h) * (tails[:r, 1] - ghost[1: 2 * r: 2] - f[:r])
+                if r == kept:
+                    df[kept] = k1[0, 1:].sum()
+                x = (tau - t) / h
+                j = np.minimum(x.astype(np.int64), kept - 1)
+                u = x - j
+                # cubic Hermite basis on [0, 1]
+                h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+                h01 = u * u * (3.0 - 2.0 * u)
+                h10 = u * (1.0 - u) ** 2
+                h11 = u * u * (u - 1.0)
+                f_tau = h00 * f[j] + h01 * f[j + 1] + h * (h10 * df[j] + h11 * df[j + 1])
+                out[n_out:hi] = out_scale * f_tau
+                if e_of is not None:
+                    out[n_out:hi] += e_of(tau)
+                n_out = hi
+            t = t_next
+            done = last or (stop is not None and dz * float(np.vdot(p_cells, p_cells).real) <= stop)
         p, s = y[0, 1:], y[1, 1:]
         if real_run:
             p, s = 1j * p, s.astype(complex)
-        if record_output:
-            out[n_steps] = self.field_profile(p, e_half[2 * n_steps])[1]
-        return p, s, out, acc_in, acc_leak, acc_dec, n0
+        return p, s, out, acc_in, acc_leak, acc_dec, n0, t
 
 
-def _half_times(t0: float, dt: float, m: np.ndarray) -> np.ndarray:
-    """Stage times t0 + dt/2 (2k + i/m_k), i = 0 .. 2 m_k, of all substeps."""
-    reps = 2 * m
-    i = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-    x = np.repeat(2 * np.arange(m.size), reps) + i / np.repeat(m, reps)
-    return t0 + 0.5 * dt * np.append(x, 2.0 * m.size)
-
-
-def _run_window(
-    integ: _Integrator,
-    p0,
-    s0,
-    window: tuple[float, float],
-    dtau: float,
-    input_mode: Waveform,
-    ctrl: Waveform,
-    substep_scale: float | None = None,
-):
-    """Integrate over ``window`` on coarse steps of at most ``dtau``.
-
-    With ``substep_scale`` set, each coarse step is cut into the RK4
-    substeps :func:`_substeps` asks for; ``None`` keeps every step coarse.
-    The output field is returned at the coarse boundaries only.
-    """
-    t0, t1 = window
-    n_coarse = max(2, int(math.ceil((t1 - t0) / dtau - 1e-12)))
-    if n_coarse > MAX_STEPS:
-        raise InstabilityError(f"required {n_coarse} steps exceeds limit; widen dtau")
-    dt = (t1 - t0) / n_coarse
-    m = np.ones(n_coarse, dtype=np.int64)
-    times = _half_times(t0, dt, m)
-    om_half = _waveform_on(times, ctrl)
-    if substep_scale is not None:
-        m = _substeps(om_half, dt, substep_scale)
-    n_steps = int(m.sum())
-    if n_steps > MAX_STEPS:
-        raise InstabilityError(
-            f"required {n_steps} steps ({n_coarse} coarse) under the control exceeds limit"
-        )
-    if n_steps > n_coarse:
-        times = _half_times(t0, dt, m)
-        om_half = _waveform_on(times, ctrl)
-    e_half = _waveform_on(times, input_mode)
-    p, s, out, acc_in, acc_leak, acc_dec, n0 = integ.run(
-        p0, s0, t0, np.repeat(dt / m, m), n_steps, e_half, om_half
-    )
-    out = out[np.concatenate(([0], np.cumsum(m)))]
-    out_grid = TimeGrid(tau0=t0, dtau=dt, n=n_coarse + 1)
-    return (
-        p, s, FieldMode(grid=out_grid, samples=out), acc_in, acc_leak, acc_dec, n0,
-        dt, n_steps, dt / int(m.max()),
-    )
-
-
-def _ring_down(integ: _Integrator, p, s, t_start: float, dt_cap: float = 0.02):
+def _ring_down(integ: _Integrator, p, s, t_start: float, steps):
     """Flush residual polarization with the drive off; S is frozen exactly.
 
-    Returns the additional leaked/decayed energy and the flushed state.
+    Returns the flushed state, the additional leaked and decayed energy and
+    the time it took.
     """
-    dz = integ.dz
-    leak = dec = 0.0
-    t = t_start
-    dt = _medium_dtau(integ.params, dt_cap)
-    n_steps = max(2, int(round(5.0 / dt)))
-    e_half = np.zeros(2 * n_steps + 1, dtype=complex)
-    while dz * float(np.sum(np.abs(p) ** 2)) > RING_DOWN_P_TOL and t - t_start < RING_DOWN_MAX_TIME:
-        p, s, _, _, dl, dd, _ = integ.run(
-            p, s, t, dt, n_steps, e_half, e_half, record_output=False
-        )
-        leak += dl
-        dec += dd
-        t += n_steps * dt
+    p, s, _, _, leak, dec, _, t = integ.march(
+        p, s, (t_start, t_start + RING_DOWN_MAX_TIME), None, None, steps, stop=RING_DOWN_P_TOL
+    )
     return p, s, leak, dec, t - t_start
 
 
-def _ring_down_finish(integ: _Integrator, p, s, t_end: float, refinements: int):
-    return _ring_down(integ, p, s, t_end, dt_cap=0.02 / 2**refinements)
-
-
-def _swap_finish(integ: _Integrator, p, s, t_end: float, refinements: int):
+def _swap_finish(integ: _Integrator, p, s, t_end: float, steps):
     """The ideal instantaneous swap pulse, :func:`photonmem.fast.pi_pulse`."""
     e = integ.field_profile(p, 0.0)[0]
     state = _fast.pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
@@ -480,48 +592,44 @@ def _simulate(
     ctrl: Waveform,
     finish,
     dtau: float | None,
-    max_refinements: int,
 ) -> SimulationResult:
-    """Run, audit and retry one simulation; the entry points only set it up.
+    """Run and audit one simulation; the entry points only set it up.
 
     Integrates over ``window`` from P = 0 and S = ``s_init`` (``None``:
-    empty), then applies ``finish(integ, p, s, t_end, refinements) -> (p, s,
-    leaked, decayed, ring_time)`` if given.  While the balance defect exceeds
-    ``DEFECT_TOL``, reruns with the coarse step and substep bound halved, at
-    most ``max_refinements`` times.  Fractions are of the injected energy
+    empty), then applies ``finish(integ, p, s, t_end, steps) -> (p, s,
+    leaked, decayed, ring_time)`` if given.  Steps follow the error
+    controller, or are uniform at an explicit ``dtau``; a balance defect
+    above ``DEFECT_TOL`` raises.  Fractions are of the injected energy
     (``kind="storage"``) or of the initial excitation (``"retrieval"``).
     """
     if n_zeta < 64:
         raise ValueError("n_zeta must be at least 64")
+    out_grid = _output_grid(params, window, ctrl, input_mode, dtau)
     integ = _Integrator(params, n_zeta)
     p0 = np.zeros(n_zeta, dtype=complex)
     s0 = p0 if s_init is None else resample_spinwave(s_init, integ.grid).samples
-    dt0 = dtau if dtau is not None else default_dtau(params, ctrl, input_mode)
-    refinements = 0
-    while True:
-        try:
-            p, s, out_mode, acc_in, leaked, decayed, n0, dt, n_steps, dt_min = _run_window(
-                integ, p0, s0, window, dt0, input_mode, ctrl,
-                substep_scale=None if dtau is not None else 0.5**refinements,
-            )
-            ring_time = 0.0
-            if finish is not None:
-                p, s, rl, rd, ring_time = finish(integ, p, s, window[1], refinements)
-                leaked += rl
-                decayed += rd
-            stored = integ.dz * float(np.sum(np.abs(s) ** 2))
-            residual_p = integ.dz * float(np.sum(np.abs(p) ** 2))
-            defect = (stored + residual_p + leaked + decayed) - (n0 + acc_in)
-            if abs(defect) > DEFECT_TOL:
-                raise InstabilityError(
-                    f"balance defect {defect:.2e} above tolerance; reduce dtau"
-                )
-            break
-        except InstabilityError:
-            if refinements >= max_refinements:
-                raise
-            refinements += 1
-            dt0 /= 2.0
+    # the amplitude of the run's photon number, which local errors are relative to
+    amplitude = math.sqrt(
+        integ.dz * float(np.vdot(s0, s0).real)
+        + (0.0 if input_mode is None else mode_norm2(input_mode))
+    )
+    if dtau is not None:
+        steps = _Uniform(out_grid.dtau)
+    else:
+        steps = _Controller(_medium_dtau(params), amplitude or 1.0)
+    p, s, out, acc_in, leaked, decayed, n0, _ = integ.march(
+        p0, s0, window, input_mode, ctrl, steps, out_grid.times
+    )
+    ring_time = 0.0
+    if finish is not None:
+        p, s, rl, rd, ring_time = finish(integ, p, s, window[1], steps)
+        leaked += rl
+        decayed += rd
+    stored = integ.dz * float(np.sum(np.abs(s) ** 2))
+    residual_p = integ.dz * float(np.sum(np.abs(p) ** 2))
+    defect = (stored + residual_p + leaked + decayed) - (n0 + acc_in)
+    if abs(defect) > DEFECT_TOL:
+        raise InstabilityError(f"balance defect {defect:.2e} above tolerance; reduce dtau")
     if kind == "storage":
         scale = acc_in if acc_in > 0 else 1.0
         br = EfficiencyBreakdown(
@@ -542,16 +650,19 @@ def _simulate(
         )
     state = EnsembleState(
         grid=integ.grid, E=integ.field_profile(p, 0.0)[0], P=p, S=s,
-        tau=out_mode.grid.t_end + ring_time,
+        tau=out_grid.t_end + ring_time,
     )
     diagnostics = AuditReport(
         input_norm2=acc_in, initial_excitation=n0, stored=stored, leaked=leaked,
         decayed=decayed, residual_polarization=residual_p, defect=defect, kind=kind,
-        dtau=dt, n_steps=n_steps, dtau_min=dt_min, n_zeta=n_zeta, refinements=refinements,
-        ring_down_time=ring_time, arithmetic="complex" if integ.complex_steps else "real",
+        dtau=integ.dt_max, n_steps=integ.n_steps, dtau_min=integ.dt_min, n_zeta=n_zeta,
+        refinements=integ.redone, ring_down_time=ring_time,
+        arithmetic="complex" if integ.complex_steps else "real",
+        local_error=integ.error_max / amplitude if amplitude > 0 else 0.0,
     )
     return SimulationResult(
-        final_state=state, output_mode=out_mode, breakdown=br, diagnostics=diagnostics
+        final_state=state, output_mode=FieldMode(grid=out_grid, samples=out), breakdown=br,
+        diagnostics=diagnostics,
     )
 
 
@@ -561,20 +672,18 @@ def simulate_storage(
     params: MediumParams,
     n_zeta: int = DEFAULT_N_ZETA,
     dtau: float | None = None,
-    max_refinements: int = 3,
     ring_down: bool = True,
 ) -> SimulationResult:
     """Map an input mode onto the spin wave with the given control.
 
     Integrates over the input window, then (by default) lets the leftover
     polarization ring down with the drive off so the reported fractions
-    satisfy the storage sum rule.  The step size (coarse step and local
-    substep bound alike) is halved automatically until the energy-balance
-    defect is below tolerance.
+    satisfy the storage sum rule.  The steps follow the error controller of
+    the module docstring unless ``dtau`` is given.
     """
     return _simulate(
         "storage", params, n_zeta, None, (input_mode.grid.tau0, input_mode.grid.t_end),
-        input_mode, ctrl, _ring_down_finish if ring_down else None, dtau, max_refinements,
+        input_mode, ctrl, _ring_down if ring_down else None, dtau,
     )
 
 
@@ -585,7 +694,6 @@ def simulate_retrieval(
     direction: str = "backward",
     n_zeta: int = DEFAULT_N_ZETA,
     dtau: float | None = None,
-    max_refinements: int = 3,
     ring_down: bool = True,
 ) -> SimulationResult:
     """Retrieve a stored spin wave onto the output field.
@@ -601,7 +709,7 @@ def simulate_retrieval(
     return _simulate(
         "retrieval", params, n_zeta, flip(s) if direction == "backward" else s,
         (ctrl.grid.tau0, ctrl.grid.t_end), None, ctrl,
-        _ring_down_finish if ring_down else None, dtau, max_refinements,
+        _ring_down if ring_down else None, dtau,
     )
 
 
@@ -610,7 +718,6 @@ def simulate_fast_storage(
     params: MediumParams,
     n_zeta: int = DEFAULT_N_ZETA,
     dtau: float | None = None,
-    max_refinements: int = 3,
 ) -> SimulationResult:
     """Free absorption of the input, then the ideal swap pulse at the window end.
 
@@ -621,7 +728,7 @@ def simulate_fast_storage(
         raise ValueError("fast storage requires resonance (delta = 0)")
     return _simulate(
         "storage", params, n_zeta, None, (input_mode.grid.tau0, input_mode.grid.t_end),
-        input_mode, None, _swap_finish, dtau, max_refinements,
+        input_mode, None, _swap_finish, dtau,
     )
 
 
@@ -636,13 +743,12 @@ def apply_finite_pi_pulse(
         raise ValueError("pulse strength must be positive")
     integ = _Integrator(params, state.grid.n)
     duration = 0.5 * math.pi / omega0
-    dt = duration / _PI_PULSE_STEPS
-    e_half = np.zeros(2 * _PI_PULSE_STEPS + 1, dtype=complex)
-    om_half = np.full(2 * _PI_PULSE_STEPS + 1, omega0, dtype=complex)
-    p, s, _, _, leak, dec, _ = integ.run(
-        state.P, state.S, state.tau, dt, _PI_PULSE_STEPS, e_half, om_half, record_output=False
+    window = (state.tau, state.tau + duration)
+    ctrl = ControlField(grid=TimeGrid.linspace(*window, 2), samples=np.full(2, omega0))
+    p, s, _, _, leak, dec, _, _ = integ.march(
+        state.P, state.S, window, None, ctrl, _Uniform(duration / _PI_PULSE_STEPS)
     )
-    new = replace(state, E=integ.field_profile(p, 0.0)[0], P=p, S=s, tau=state.tau + duration)
+    new = replace(state, E=integ.field_profile(p, 0.0)[0], P=p, S=s, tau=window[1])
     return new, leak, dec
 
 

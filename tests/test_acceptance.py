@@ -253,7 +253,7 @@ def test_criterion_7_conservation_and_order(ref_input, collected_storage_runs):
     defects = []
     for dt in (0.02, 0.01):
         run = simulate_storage(
-            inp, c, MediumParams(d=10.0), dtau=dt, max_refinements=0, ring_down=False
+            inp, c, MediumParams(d=10.0), dtau=dt, ring_down=False
         )
         defects.append(abs(run.diagnostics["defect"]))
     order = math.log2(defects[0] / defects[1])

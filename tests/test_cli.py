@@ -162,22 +162,28 @@ class TestCommands:
         assert seen == ["1"] * len(cli._BLAS_THREAD_VARS)
         assert {key: os.environ.get(key) for key in cli._BLAS_THREAD_VARS} == before
 
-    def test_curve_point_skips_ring_down(self, monkeypatch):
-        # only the stored spin wave is read, and the ring-down leaves it unchanged
+    def test_curve_point_stores_without_ring_down(self, monkeypatch):
+        # only the stored spin wave is read, and with the drives off the
+        # ring-down leaves it exactly as the window left it
         import photonmem.simulator
 
         real = photonmem.simulator.simulate_storage
-        diagnostics = []
+        runs = []
 
         def recording(*args, **kwargs):
-            run = real(*args, **kwargs)
-            diagnostics.append(run.diagnostics)
-            return run
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
 
         monkeypatch.setattr(photonmem.simulator, "simulate_storage", recording)
         d = float(np.geomspace(0.3, 300.0, 25)[22])
         cli._curve_point((d, 0.0, 200, 256, 20.0, 2001))
-        assert [(g["refinements"], g["ring_down_time"]) for g in diagnostics] == [(0, 0.0)]
+        (run,) = runs
+        assert run.diagnostics["ring_down_time"] == 0.0
+        inp = cli.RunConfig({"input_T": 20.0, "input_n": 2001}).reference_input()
+        ctrl = photonmem.ControlField(grid=inp.grid, samples=np.full(2001, np.sqrt(d / 20.0)))
+        rung = real(inp, ctrl, photonmem.MediumParams(d=d), n_zeta=256)
+        assert rung.diagnostics["ring_down_time"] > 0.0
+        assert np.array_equal(rung.final_state.S, run.final_state.S)
 
     def test_simulate_zero_control(self, tmp_path):
         out = tmp_path / "z"

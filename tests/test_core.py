@@ -21,7 +21,7 @@ from photonmem import (
     spinwave_norm2,
     time_reverse,
 )
-from photonmem.core import _CHEB_MAX, _CHEB_START, _chebyshev_interpolant
+from photonmem.core import _CHEB_MAX, _CHEB_START, _WaveformSpline, _chebyshev_interpolant
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -198,6 +198,24 @@ class TestResample:
         s = SpinWave(grid=gauss_grid, samples=poly(gauss_grid.nodes))
         got = resample_spinwave(s, uniform_grid).samples
         assert np.max(np.abs(got - poly(uniform_grid.nodes))) < 1e-13
+
+
+class TestWaveformSpline:
+    def test_values_and_integral_follow_the_spline(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(0)
+        g = TimeGrid.linspace(0.3, 7.3, 701)
+        samples = rng.normal(size=701) + 1j * rng.normal(size=701)
+        spline = _WaveformSpline(ControlField(grid=g, samples=samples))
+        t = np.sort(rng.uniform(0.0, 8.0, 5000))
+        inside = (t >= 0.3) & (t <= 7.3)
+        reference = CubicSpline(g.times, samples)
+        assert np.array_equal(spline(t)[inside], reference(t[inside]))
+        assert not np.any(spline(t)[~inside])
+        # the integral from the window's start, constant outside the window
+        exact = reference.antiderivative()(np.clip(t, 0.3, 7.3))
+        assert np.max(np.abs(spline.integral(t) - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 class TestChebyshevInterpolant:

@@ -17,7 +17,7 @@ from photonmem import (
     optimal_spin_wave,
     retrieval_efficiency,
 )
-from photonmem.kernel import DEFAULT_NODES, _check_resolved
+from photonmem.kernel import DEFAULT_NODES, _check_resolved, _sqrt_weight_kernel
 
 from conftest import smooth_test_wave
 
@@ -244,6 +244,20 @@ class TestOptimalSpinWave:
         # 50 nodes miss the boundary layer at d = 1e4 and give eta = 1.258
         with pytest.raises(GridError, match="more Gauss nodes"):
             route(1e4, SpaceGrid.gauss_legendre(50))
+
+    @pytest.mark.parametrize("d, nodes", [(1e4, 100), (2e4, 150), (3e4, 200)])
+    def test_large_depth_gap_below_bound_raises(self, d, nodes):
+        # eta_max below 1 but (1 - eta_max) d = 0.735, 1.447 and 2.538, short
+        # of the 2.78-2.87 resolved grids give from d = 1e3 on
+        with pytest.raises(GridError, match="more Gauss nodes"):
+            optimal_spin_wave(d, SpaceGrid.gauss_legendre(nodes))
+
+    def test_large_depth_guard_passes_resolved_grids(self, gauss_grid):
+        for d in np.geomspace(1e3, 2e4, 7):
+            _, eta = optimal_spin_wave(float(d), gauss_grid)
+            sym, _ = _sqrt_weight_kernel(float(d), gauss_grid)
+            assert eta == np.linalg.eigh(sym)[0][-1]
+            assert (1.0 - eta) * d >= 2.7
 
     @pytest.mark.parametrize("route", [optimal_spin_wave, power_route])
     def test_resolved_large_depth_stays_below_one(self, route, gauss_grid):
