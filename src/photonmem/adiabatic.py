@@ -24,8 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.special import ive
 
 from .core import (
@@ -36,7 +34,11 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _BarycentricInterpolant,
+    _chebyshev_coefficients,
     _chebyshev_interpolant,
+    _chebyshev_points,
+    _chebyshev_values,
     _trapezoid_weights,
     mode_norm2,
     time_reverse,
@@ -111,7 +113,10 @@ def default_h_max(params: MediumParams) -> float:
 _RAY_STEP = 1.0 / 16.0
 _RAY_ORDER = 8
 _RAY_BLOCK = 64  # rows per evaluation block, sized to stay in cache
-_ENERGY_ROWS = 4001  # sqrt(h) samples of the shaping's energy table
+# Chebyshev points in sqrt(h) of the shaping's energy table, the least; an
+# n-point interpolant of q takes the first 2^k + 1 >= 2n above it
+_ENERGY_ROWS = 4097
+_NEWTON_STEPS = 3  # per shaped sample, on the table's Hermite panel
 
 
 def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
@@ -278,21 +283,34 @@ def _emission_profile(
     return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table, phased) @ v
 
 
-def _emission_interpolant(s: SpinWave, params: MediumParams, h_max: float):
+@dataclass(frozen=True, eq=False)
+class _EmissionInterpolant:
+    """q(h) = e^{i r h} q~(sqrt(h)), r = delta / (1 + delta^2), with q~ the
+    Chebyshev interpolant ``smooth`` in sqrt(h)."""
+
+    smooth: _BarycentricInterpolant
+    rate: float
+
+    def __call__(self, h):
+        return np.exp(1j * self.rate * h) * self.smooth(np.sqrt(h))
+
+
+def _emission_interpolant(
+    s: SpinWave, params: MediumParams, h_max: float
+) -> _EmissionInterpolant:
     """q(h) on [0, h_max], read off a chopped Chebyshev interpolant in sqrt(h).
 
     With its row phase e^{i r h}, r = delta / (1 + delta^2), factored out, q
     is smooth in u = sqrt(h), so a few hundred bracket rows, all sharing one
-    ray table, carry q(u^2) e^{-i r u^2} to rounding level; the returned
-    function applies the row phase exactly at each h.
+    ray table, carry q(u^2) e^{-i r u^2} to rounding level; a call applies
+    the row phase exactly at each h.
     """
     u_max = math.sqrt(h_max)
     table = _ray_table(u_max, s.grid.nodes, params)
     q_tilde = _chebyshev_interpolant(
         lambda u: _emission_profile(u * u, s, params, table, phased=False), 0.0, u_max
     )
-    rate = params.delta / (1.0 + params.delta**2)
-    return lambda h: np.exp(1j * rate * h) * q_tilde(np.sqrt(h))
+    return _EmissionInterpolant(smooth=q_tilde, rate=params.delta / (1.0 + params.delta**2))
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -390,12 +408,48 @@ class ShapingResult:
     n_truncated: int
 
 
-def _tabulate_energy_curve(q, d: float, h_max: float):
-    """G(h) = d * integral |q|^2 dh' and its rate dG/du tabulated on a sqrt(h) grid."""
-    u = np.linspace(0.0, math.sqrt(h_max), _ENERGY_ROWS)
-    rate = d * np.abs(q(u**2)) ** 2 * 2.0 * u
-    g = cumulative_simpson(rate, x=u, initial=0.0)
-    return u, np.maximum.accumulate(g), rate
+def _tabulate_energy_curve(q_tilde: _BarycentricInterpolant, d: float):
+    """The shaping's energy table on Chebyshev points u in sqrt(h), ascending.
+
+    Returns u, the rate f = dG/du = d |q~(u)|^2 2u and its derivative f', the
+    energy G(u) = d integral_0^{u^2} |q|^2 dh summed from 0, and the tail
+    G(u_max) - G(u) summed from the cap, which keeps an exponentially small
+    tail to relative accuracy.  q~ and q~' come at the points from the
+    interpolant's Chebyshev coefficients by one FFT; f, of degree 2n - 1 for
+    an n-point q~, is exact at the M >= 2n points.  G and the tail are sums
+    of the integrals of the cubic Hermite interpolant of (f, f') between
+    neighbouring points (:func:`_hermite_panel`).
+    """
+    n, u_max = q_tilde.n, q_tilde.points[0]
+    m = max(_ENERGY_ROWS, 1 + (1 << (2 * n - 2).bit_length()))
+    c = _chebyshev_coefficients(q_tilde.values)
+    # the derivative's coefficients: sum of 2 j c_j over j = k + 1, k + 3, ...,
+    # halved at k = 0, times dx/du = 2 / u_max
+    b = np.append((4.0 / u_max) * np.arange(1, n) * c[1:], 0.0)
+    dc = np.empty_like(c)
+    dc[::2], dc[1::2] = (np.cumsum(b[p::2][::-1])[::-1] for p in (0, 1))
+    dc[0] *= 0.5
+    q, dq = _chebyshev_values(np.stack([c, dc]), m)[:, ::-1]
+    u = _chebyshev_points(m, 0.0, u_max)[::-1]
+    a2 = q.real**2 + q.imag**2
+    f = (2.0 * d) * a2 * u
+    df = (2.0 * d) * (a2 + 2.0 * u * (q.real * dq.real + q.imag * dq.imag))
+    w = np.diff(u)
+    panels = np.maximum(0.5 * w * (f[:-1] + f[1:]) + w * w / 12.0 * (df[:-1] - df[1:]), 0.0)
+    g = np.concatenate([[0.0], np.cumsum(panels)])
+    tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
+    return u, f, df, g, tail
+
+
+def _hermite_panel(fa, dfa, fb, dfb, w, t):
+    """The cubic Hermite interpolant of (f, f') on a panel of width ``w``
+    from a to b, at the fraction ``t`` of the way: its integral from a and its value."""
+    integral = w * (fa * t + (fb - fa) * t**3 * (1.0 - 0.5 * t)
+                    + w * t * t * (dfa * (0.5 - t * (2.0 / 3.0 - 0.25 * t))
+                                   + dfb * t * (0.25 * t - 1.0 / 3.0)))
+    value = (fa + (fb - fa) * t * t * (3.0 - 2.0 * t)
+             + w * t * (1.0 - t) * ((1.0 - t) * dfa - t * dfb))
+    return integral, value
 
 
 def shape_retrieval_control(
@@ -407,14 +461,16 @@ def shape_retrieval_control(
     """Find the control that retrieves ``s`` into sqrt(eta_r) * ``target``.
 
     The accumulated-power clock h(tau) is the unique solution of
-    G(h(tau)) = eta_r * (cumulative target energy).  G and its rate
-    dG/du (u = sqrt(h)) are tabulated once on a dense sqrt(h) grid; h(tau)
-    comes from monotone inversion of that table, refined by two Newton
-    steps that read the rate from a cubic spline of the tabulated values.
-    The magnitude follows from dh/dtau by centered differences (one-sided
-    at the ends, round-off negatives clamped), the phase from the
-    closed-form output at h(tau).  Both the table and that phase read q
-    from :func:`_emission_interpolant`, the only bracket evaluation, with
+    G(h(tau)) = eta_r * (cumulative target energy).  G, its rate dG/du (u =
+    sqrt(h)) and the rate's derivative are tabulated once at Chebyshev
+    points in u, read off the Chebyshev interpolant of q that
+    :func:`_emission_interpolant` builds, the only bracket evaluation.
+    h(tau) comes from linear inversion of that monotone table, refined by
+    Newton steps on the cubic Hermite model of the rate between table
+    points: on G in the bulk, on the log of the remaining energy near
+    saturation.  The magnitude follows from dh/dtau by centered differences
+    (one-sided at the ends, round-off negatives clamped), the phase from
+    the closed-form output at h(tau), read off the same interpolant with
     its row phase e^{i r h} applied exactly at each h.  Where the demanded h
     exceeds ``h_max`` the clock is capped and the control switches off; the
     unmet energy fraction is reported as the truncation loss.
@@ -446,23 +502,17 @@ def _shape_retrieval(
     demanded_tail = eta_r * tail_cum / total
 
     q = _emission_interpolant(s, params, h_max)
-    u_tab, g_tab, f_tab = _tabulate_energy_curve(q, params.d, h_max)
+    u_tab, f_tab, df_tab, g_tab, tail_tab = _tabulate_energy_curve(q.smooth, params.d)
+    w_tab = np.diff(u_tab)
     g_cap = float(g_tab[-1])
     truncation_loss = float(max(0.0, 1.0 - g_cap / eta_r))
 
-    # remaining deliverable energy, integrated from the cap downward so the
-    # exponentially small tail is not lost to cancellation
-    tail_tab = cumulative_simpson(
-        f_tab[::-1], x=(u_tab[-1] - u_tab)[::-1], initial=0.0
-    )[::-1]
-
     # The delivered-energy clock G(h) saturates exponentially, so inverting
     # G(h) = demanded is ill-conditioned near the end of the pulse.  Split:
-    # the bulk is solved on the forward curve with Newton steps whose local
-    # Simpson panel reads the rate from a cubic spline of the tabulated
-    # rate (no new bracket evaluations); the near-saturation band is solved
-    # on the subtraction-free log-tail curve, which stays well-conditioned
-    # all the way to the power cap.
+    # the bulk is solved on the forward curve; the near-saturation band on
+    # the log of the remaining energy, which stays well-conditioned all the
+    # way to the power cap.  Each demand takes its table panel and a linear
+    # first guess in it, then Newton steps on the panel's Hermite model.
     tail_switch = 1e-3 * eta_r
     resolvable = max(float(tail_tab[-2]), 1e-290)
     truncated = demanded_tail <= resolvable
@@ -471,33 +521,34 @@ def _shape_retrieval(
 
     u = np.full(target.grid.n, u_tab[-1])
     if np.any(bulk):
-        keep = np.concatenate([[True], np.diff(g_tab) > 0])
-        inv = PchipInterpolator(g_tab[keep], u_tab[keep])
-        energy_rate = CubicSpline(u_tab, f_tab)
-        u_b = np.clip(inv(demanded[bulk]), 0.0, u_tab[-1])
-        for _ in range(2):
-            idx = np.clip(np.searchsorted(u_tab, u_b, side="right") - 1, 0, u_tab.size - 1)
-            u_a = u_tab[idx]
-            f_mid = energy_rate(0.5 * (u_a + u_b))
-            f_end = energy_rate(u_b)
-            g_loc = g_tab[idx] + (u_b - u_a) / 6.0 * (f_tab[idx] + 4.0 * f_mid + f_end)
-            step = (g_loc - demanded[bulk]) / np.maximum(f_end, 1e-300)
-            u_b = np.clip(u_b - np.clip(step, -0.5, 0.5), 0.0, u_tab[-1])
-        u[bulk] = u_b
+        i = np.clip(np.searchsorted(g_tab, demanded[bulk], side="right") - 1, 0, w_tab.size - 1)
+        r = demanded[bulk] - g_tab[i]
+        t = np.clip(r / np.maximum(g_tab[i + 1] - g_tab[i], 1e-300), 0.0, 1.0)
+        panel = (f_tab[i], df_tab[i], f_tab[i + 1], df_tab[i + 1], w_tab[i])
+        for _ in range(_NEWTON_STEPS):
+            integral, value = _hermite_panel(*panel, t)
+            t = np.clip(t - (integral - r) / np.maximum(w_tab[i] * value, 1e-300), 0.0, 1.0)
+        u[bulk] = u_tab[i] + w_tab[i] * t
     if np.any(band):
-        idx = np.nonzero(tail_tab > resolvable * 0.5)[0]
-        vals = tail_tab[idx]
-        strict = np.concatenate([[True], vals[1:] < vals[:-1]])  # underflow guard
-        idx = idx[strict]
-        inv_tail = PchipInterpolator(np.log(tail_tab[idx][::-1]), u_tab[idx][::-1])
-        u[band] = np.clip(inv_tail(np.log(demanded_tail[band])), 0.0, u_tab[-1])
+        r = demanded_tail[band]
+        i = np.clip(np.searchsorted(-tail_tab, -r, side="right") - 1, 0, w_tab.size - 1)
+        right = tail_tab[i + 1]
+        # t runs leftwards from the panel's right end, where the tail is `right`
+        t = np.clip((r - right) / np.maximum(tail_tab[i] - right, 1e-300), 0.0, 1.0)
+        panel = (f_tab[i + 1], -df_tab[i + 1], f_tab[i], -df_tab[i], w_tab[i])
+        for _ in range(_NEWTON_STEPS):
+            integral, value = _hermite_panel(*panel, t)
+            rest = np.maximum(right + integral, 1e-300)
+            step = np.log(rest / r) * rest / np.maximum(w_tab[i] * value, 1e-300)
+            t = np.clip(t - step, 0.0, 1.0)
+        u[band] = u_tab[i + 1] - w_tab[i] * t
     n_trunc = int(np.count_nonzero(truncated))
     h = np.maximum.accumulate(u**2)
     h[0] = 0.0
 
     magnitude = np.sqrt(np.clip(np.gradient(h, dt), 0.0, None))
     # the row phase of q is exact at h(tau), where at |delta| >~ 200 arg q
-    # turns by more than 1 rad per table step; only the smooth rest of q
+    # turns by more than 1 rad between table points; only the smooth rest of q
     # is interpolated
     q_at_h = q(h)
     phase_ref = -target.samples * np.conj(q_at_h)

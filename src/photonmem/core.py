@@ -387,6 +387,22 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return c
 
 
+def _chebyshev_values(coefficients: np.ndarray, n: int) -> np.ndarray:
+    """Values of the series sum_k c_k T_k at the n points of
+    :func:`_chebyshev_points`, by one FFT of the zero-padded even extension.
+
+    The inverse of :func:`_chebyshev_coefficients`; one series per row of a
+    2-d ``coefficients``, each of at most n terms.
+    """
+    m = n - 1
+    c = np.asarray(coefficients)
+    e = np.zeros(c.shape[:-1] + (2 * m,), dtype=complex)
+    e[..., :c.shape[-1]] = c
+    e[..., 1:m] *= 0.5
+    e[..., m + 1:] = e[..., m - 1:0:-1]
+    return np.fft.fft(e)[..., : m + 1]
+
+
 @dataclass(frozen=True, eq=False)
 class _BarycentricInterpolant:
     """Complex values at interpolation points, evaluated anywhere on their span.

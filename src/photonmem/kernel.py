@@ -53,11 +53,19 @@ def kernel_eval(d, zeta, zeta_p):
 
 def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(w_i) k(z_i, z_j) sqrt(w_j), the Nystrom matrix made symmetric by a
-    similarity transform, and sqrt(w)."""
-    z = grid.nodes
-    k = kernel_eval(d, z[:, None], z[None, :])
+    similarity transform, and sqrt(w).
+
+    The kernel is symmetric: it is evaluated on the pairs i <= j and
+    mirrored, so the matrix is exactly symmetric.
+    """
+    z, n = grid.nodes, grid.n
     sw = np.sqrt(grid.weights)
-    return sw[:, None] * k * sw[None, :], sw
+    i, j = np.triu_indices(n)
+    upper = sw[i] * kernel_eval(d, z[i], z[j]) * sw[j]
+    out = np.empty(n * n)
+    out[i * n + j] = upper
+    out[j * n + i] = upper
+    return out.reshape(n, n), sw
 
 
 # From d = 10^3 on, (1 - eta_max) d of a resolved grid lies between 2.78 and

@@ -32,6 +32,7 @@ from photonmem.adiabatic import (
     _emission_interpolant,
     _emission_matrix,
     _emission_profile,
+    _tabulate_energy_curve,
     default_h_max,
     storage_matrix,
 )
@@ -58,10 +59,11 @@ STORAGE_TOL = 1e-10  # of the case's max |M|
 INTERP_DEPTHS = [1.0, 10.0, 100.0, 300.0, 1e3, 1e4]
 INTERP_DETUNINGS = [0.0, 10.0, -10.0, 50.0, -1000.0]
 INTERP_TOL = 1e-13  # of the case's max |q| over the energy table
+ENERGY_TABLE_TOL = 1e-5  # of the shaped control's peak, default table against a fine one
 
 
 def shaping_rows(params):
-    """The sqrt(h)-spaced rows of the shaping's energy table; row 0 is h = 0."""
+    """4,001 evenly sqrt(h)-spaced bracket rows up to the default cap; row 0 is h = 0."""
     return np.linspace(0.0, np.sqrt(default_h_max(params)), 4001) ** 2
 
 
@@ -427,6 +429,26 @@ class TestShaping:
         assert mode_norm2(realized) == pytest.approx(
             res.eta_r * (1.0 - res.truncation_loss), abs=1e-4
         )
+
+    @pytest.mark.parametrize(
+        "d, delta", [(1.0, 0.0), (100.0, 0.0), (300.0, -40.0), (30.0, 50.0), (1e4, 10.0)]
+    )
+    def test_energy_table_matches_a_fine_table(
+        self, monkeypatch, d, delta, reference_input, gauss_grid
+    ):
+        # the default table against one of 16,385 Chebyshev points; at (1e4,
+        # 10) the interpolant of q takes 2,049 points, so the rate, of degree
+        # 4,097, needs more than the default 4,097 table points
+        params = MediumParams(d=d, delta=delta)
+        if d == 1e4:
+            s, _ = optimal_spin_wave(d, gauss_grid)
+            q = _emission_interpolant(s, params, default_h_max(params))
+            assert q.smooth.n == 2049
+            assert _tabulate_energy_curve(q.smooth, d)[0].size == 8193
+        got = optimal_storage_control(reference_input, params, gauss_grid).control.samples
+        monkeypatch.setattr(adiabatic, "_ENERGY_ROWS", 16385)
+        fine = optimal_storage_control(reference_input, params, gauss_grid).control.samples
+        assert np.max(np.abs(got - fine)) <= ENERGY_TABLE_TOL * np.max(np.abs(fine))
 
     def test_zero_efficiency_rejected(self, gauss_grid, reference_input):
         s = SpinWave(grid=gauss_grid, samples=np.zeros(gauss_grid.n))

@@ -21,7 +21,15 @@ from photonmem import (
     spinwave_norm2,
     time_reverse,
 )
-from photonmem.core import _CHEB_MAX, _CHEB_START, _WaveformSpline, _chebyshev_interpolant
+from photonmem.core import (
+    _CHEB_MAX,
+    _CHEB_START,
+    _WaveformSpline,
+    _chebyshev_coefficients,
+    _chebyshev_interpolant,
+    _chebyshev_points,
+    _chebyshev_values,
+)
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -228,6 +236,19 @@ class TestChebyshevInterpolant:
         # several evaluation blocks, the nodes and both ends among the points
         x = np.concatenate([np.linspace(0.0, 2.0, 10_001), interp.points])
         assert np.max(np.abs(interp(x) - f(x))) < 1e-14
+
+    def test_values_on_a_finer_level_by_one_fft(self):
+        # 40 coefficients per series, two series at once, onto 129 points
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+        values = _chebyshev_values(c, 129)
+        x = _chebyshev_points(129, -1.0, 1.0)
+        for series, v in zip(c, values):
+            exact = np.polynomial.chebyshev.chebval(x, series)
+            assert np.max(np.abs(v - exact)) <= 1e-14 * np.sum(np.abs(series))
+            back = _chebyshev_coefficients(v)
+            assert np.max(np.abs(back[:40] - series)) <= 1e-15 * np.sum(np.abs(series))
+            assert np.max(np.abs(back[40:])) <= 1e-15 * np.sum(np.abs(series))
 
     def test_unresolved_function_raises_at_the_cap(self):
         sampled = []

@@ -126,6 +126,15 @@ class TestKernelEval:
         k = kernel_eval(12.5, z[:, None], z[None, :])
         assert np.max(np.abs(k - k.T)) < 1e-14
 
+    @pytest.mark.parametrize("d", [1.0, 100.0, 1e4])
+    def test_sqrt_weight_kernel_is_the_full_product_mirrored(self, d, gauss_grid):
+        # the matrix is evaluated on one triangle and mirrored
+        sym, sw = _sqrt_weight_kernel(d, gauss_grid)
+        z = gauss_grid.nodes
+        full = sw[:, None] * kernel_eval(d, z[:, None], z[None, :]) * sw[None, :]
+        assert np.array_equal(sym, sym.T)
+        assert np.max(np.abs(sym - full)) <= 1e-15 * np.max(np.abs(full))
+
     def test_positive(self):
         z = np.linspace(0, 1, 31)
         assert np.all(kernel_eval(3.0, z[:, None], z[None, :]) > 0)

@@ -35,8 +35,8 @@ def test_every_export_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def _scipy_linalg_imports(source: str) -> list[int]:
-    """Lines of the import statements in ``source`` that bind scipy.linalg."""
+def _imports_of(source: str, module: str) -> list[int]:
+    """Lines of the import statements in ``source`` that bind ``module`` or a name from it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -45,9 +45,14 @@ def _scipy_linalg_imports(source: str) -> list[int]:
             names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+        if any(n == module or n.startswith(module + ".") for n in names):
             lines.append(node.lineno)
     return lines
+
+
+def _scipy_linalg_imports(source: str) -> list[int]:
+    """Lines of the import statements in ``source`` that bind scipy.linalg."""
+    return _imports_of(source, "scipy.linalg")
 
 
 @pytest.mark.parametrize("source, found", [
@@ -69,3 +74,31 @@ def test_no_module_imports_scipy_linalg():
     found = {p.name: _scipy_linalg_imports(p.read_text(encoding="utf-8"))
              for p in sorted(src.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, module, found", [
+    ("from scipy.interpolate import CubicSpline", "scipy.interpolate", [1]),
+    ("import scipy.integrate as si", "scipy.integrate", [1]),
+    ("from scipy import integrate", "scipy.integrate", [1]),
+    ("import numpy\ndef f():\n    from scipy.interpolate import PchipInterpolator",
+     "scipy.interpolate", [3]),
+    ("from scipy.special import ive", "scipy.interpolate", []),
+    ('"""Once ``scipy.integrate.cumulative_simpson``."""', "scipy.integrate", []),
+])
+def test_scipy_module_detector(source, module, found):
+    assert _imports_of(source, module) == found
+
+
+def test_shaping_needs_only_ive_from_scipy():
+    # the shaping's energy curve is read off its Chebyshev interpolant: no
+    # scipy interpolant or quadrature takes part
+    path = Path(photonmem.__file__).resolve().parent / "adiabatic.py"
+    source = path.read_text(encoding="utf-8")
+    assert _imports_of(source, "scipy.interpolate") == []
+    assert _imports_of(source, "scipy.integrate") == []
+    lines = _imports_of(source, "scipy")
+    bound = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno in lines
+             for alias in node.names]
+    assert bound == ["scipy.special.ive"]
