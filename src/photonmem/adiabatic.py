@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder
 from scipy.special import ive
 
 from .core import (
@@ -39,6 +40,7 @@ from .core import (
     _chebyshev_interpolant,
     _chebyshev_points,
     _chebyshev_values,
+    _hermite_panel,
     _trapezoid_weights,
     mode_norm2,
     time_reverse,
@@ -49,6 +51,8 @@ __all__ = [
     "AdiabaticityWarning",
     "DecayFunction",
     "default_h_max",
+    "retrieval_matrix",
+    "storage_matrix",
     "retrieve_adiabatic",
     "store_adiabatic",
     "ShapingResult",
@@ -423,12 +427,7 @@ def _tabulate_energy_curve(q_tilde: _BarycentricInterpolant, d: float):
     n, u_max = q_tilde.n, q_tilde.points[0]
     m = max(_ENERGY_ROWS, 1 + (1 << (2 * n - 2).bit_length()))
     c = _chebyshev_coefficients(q_tilde.values)
-    # the derivative's coefficients: sum of 2 j c_j over j = k + 1, k + 3, ...,
-    # halved at k = 0, times dx/du = 2 / u_max
-    b = np.append((4.0 / u_max) * np.arange(1, n) * c[1:], 0.0)
-    dc = np.empty_like(c)
-    dc[::2], dc[1::2] = (np.cumsum(b[p::2][::-1])[::-1] for p in (0, 1))
-    dc[0] *= 0.5
+    dc = np.append(chebder(c, scl=2.0 / u_max), 0.0)  # dx/du = 2 / u_max
     q, dq = _chebyshev_values(np.stack([c, dc]), m)[:, ::-1]
     u = _chebyshev_points(m, 0.0, u_max)[::-1]
     a2 = q.real**2 + q.imag**2
@@ -439,17 +438,6 @@ def _tabulate_energy_curve(q_tilde: _BarycentricInterpolant, d: float):
     g = np.concatenate([[0.0], np.cumsum(panels)])
     tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
     return u, f, df, g, tail
-
-
-def _hermite_panel(fa, dfa, fb, dfb, w, t):
-    """The cubic Hermite interpolant of (f, f') on a panel of width ``w``
-    from a to b, at the fraction ``t`` of the way: its integral from a and its value."""
-    integral = w * (fa * t + (fb - fa) * t**3 * (1.0 - 0.5 * t)
-                    + w * t * t * (dfa * (0.5 - t * (2.0 / 3.0 - 0.25 * t))
-                                   + dfb * t * (0.25 * t - 1.0 / 3.0)))
-    value = (fa + (fb - fa) * t * t * (3.0 - 2.0 * t)
-             + w * t * (1.0 - t) * ((1.0 - t) * dfa - t * dfb))
-    return integral, value
 
 
 def shape_retrieval_control(

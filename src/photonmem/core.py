@@ -326,7 +326,7 @@ class _WaveformSpline:
     A call gives its values at an array of times, zero outside the window
     (up to a 1e-12 margin at either end); ``integral`` gives its integral
     from the window's start, which outside the window is constant, from the
-    integrals up to each knot and the piece's coefficients.
+    spline's antiderivative.
     """
 
     def __init__(self, wf: FieldMode | ControlField):
@@ -334,10 +334,8 @@ class _WaveformSpline:
 
         g = wf.grid
         self._spline = CubicSpline(g.times, wf.samples)
+        self._antiderivative = self._spline.antiderivative()
         self._window = (g.tau0, g.t_end)
-        c, dx = self._spline.c, np.diff(self._spline.x)
-        pieces = dx * (c[3] + dx * (c[2] / 2 + dx * (c[1] / 3 + dx * c[0] / 4)))
-        self._knot_integrals = np.concatenate(([0.0], np.cumsum(pieces)))
 
     def __call__(self, times: np.ndarray) -> np.ndarray:
         lo, hi = self._window
@@ -346,12 +344,18 @@ class _WaveformSpline:
         return vals
 
     def integral(self, times: np.ndarray) -> np.ndarray:
-        x = self._spline.x
-        t = np.clip(times, *self._window)
-        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-        u = t - x[i]
-        c = self._spline.c[:, i]
-        return self._knot_integrals[i] + u * (c[3] + u * (c[2] / 2 + u * (c[1] / 3 + u * c[0] / 4)))
+        return self._antiderivative(np.clip(times, *self._window))
+
+
+def _hermite_panel(fa, dfa, fb, dfb, w, t):
+    """The cubic Hermite interpolant of (f, f') on a panel of width ``w``
+    from a to b, at the fraction ``t`` of the way: its integral from a and its value."""
+    integral = w * (fa * t + (fb - fa) * t**3 * (1.0 - 0.5 * t)
+                    + w * t * t * (dfa * (0.5 - t * (2.0 / 3.0 - 0.25 * t))
+                                   + dfb * t * (0.25 * t - 1.0 / 3.0)))
+    value = (fa + (fb - fa) * t * t * (3.0 - 2.0 * t)
+             + w * t * (1.0 - t) * ((1.0 - t) * dfa - t * dfb))
+    return integral, value
 
 
 # Chebyshev interpolation of a smooth function on an interval: values at

@@ -95,6 +95,7 @@ from .core import (
     SpinWave,
     TimeGrid,
     _WaveformSpline,
+    _hermite_panel,
     flip,
     mode_norm2,
     resample_spinwave,
@@ -544,13 +545,7 @@ class _Integrator:
                     df[kept] = k1[0, 1:].sum()
                 x = (tau - t) / h
                 j = np.minimum(x.astype(np.int64), kept - 1)
-                u = x - j
-                # cubic Hermite basis on [0, 1]
-                h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-                h01 = u * u * (3.0 - 2.0 * u)
-                h10 = u * (1.0 - u) ** 2
-                h11 = u * u * (u - 1.0)
-                f_tau = h00 * f[j] + h01 * f[j + 1] + h * (h10 * df[j] + h11 * df[j + 1])
+                _, f_tau = _hermite_panel(f[j], df[j], f[j + 1], df[j + 1], h, x - j)
                 out[n_out:hi] = out_scale * f_tau
                 if e_of is not None:
                     out[n_out:hi] += e_of(tau)

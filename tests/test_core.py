@@ -29,6 +29,7 @@ from photonmem.core import (
     _chebyshev_interpolant,
     _chebyshev_points,
     _chebyshev_values,
+    _hermite_panel,
 )
 
 finite_complex = st.complex_numbers(
@@ -224,6 +225,29 @@ class TestWaveformSpline:
         # the integral from the window's start, constant outside the window
         exact = reference.antiderivative()(np.clip(t, 0.3, 7.3))
         assert np.max(np.abs(spline.integral(t) - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermite_panel_reproduces_cubics(dtype):
+    # a cubic is its own cubic Hermite interpolant: on random panels [a, a + w]
+    # the panel reproduces p(a + w t) and the integral of p from a
+    rng = np.random.default_rng(7)
+    n = 2000
+    c = rng.normal(size=(4, n))
+    if dtype is complex:
+        c = c + 1j * rng.normal(size=(4, n))
+    w = 10.0 ** rng.uniform(-3.0, 2.0, n)
+    t = rng.uniform(0.0, 1.0, n)
+    s = w * t  # distance from the panel's start
+    value = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+    integral = s * (c[0] + s * (c[1] / 2 + s * (c[2] / 3 + s * c[3] / 4)))
+    ends = (c[0], c[1], c[0] + w * (c[1] + w * (c[2] + w * c[3])),
+            c[1] + w * (2 * c[2] + w * 3 * c[3]))
+    got_integral, got_value = _hermite_panel(*ends, w, t)
+    # the cubic's size on its panel
+    scale = np.abs(c[0]) + w * (np.abs(c[1]) + w * (np.abs(c[2]) + w * np.abs(c[3])))
+    assert np.max(np.abs(got_value - value) / scale) <= 1e-14
+    assert np.max(np.abs(got_integral - integral) / (w * scale)) <= 1e-14
 
 
 class TestChebyshevInterpolant:

@@ -102,3 +102,35 @@ def test_shaping_needs_only_ive_from_scipy():
              if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno in lines
              for alias in node.names]
     assert bound == ["scipy.special.ive"]
+
+
+_LAYERS = ("core", "kernel", "adiabatic", "fast", "simulator", "optimizer")
+
+
+def test_package_exports_each_layers_all_once():
+    layers = [importlib.import_module(f"photonmem.{name}") for name in _LAYERS]
+    expected = ["__version__"] + [name for layer in layers for name in layer.__all__]
+    assert photonmem.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for layer in layers:
+        assert [n for n in layer.__all__ if getattr(photonmem, n) is not getattr(layer, n)] == []
+
+
+@pytest.mark.parametrize("layer", _LAYERS)
+def test_every_public_definition_is_exported(layer):
+    mod = importlib.import_module(f"photonmem.{layer}")
+    defined = [name for name, obj in vars(mod).items()
+               if not name.startswith("_") and callable(obj)
+               and getattr(obj, "__module__", None) == mod.__name__]
+    assert sorted(set(defined) - set(mod.__all__)) == []
+
+
+def test_declared_numpy_floor_has_trapezoid():
+    # core calls np.trapezoid, which numpy has only from 2.0
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(photonmem.__file__).resolve().parents[2] / "pyproject.toml"
+    if not path.exists():
+        pytest.skip("no pyproject.toml beside the source tree")
+    deps = tomllib.loads(path.read_text(encoding="utf-8"))["project"]["dependencies"]
+    floor = next(dep.split(">=")[1] for dep in deps if dep.startswith("numpy>="))
+    assert tuple(int(part) for part in floor.split(".")[:2]) >= (2, 0)
