@@ -45,7 +45,7 @@ from .core import (
     mode_norm2,
     time_reverse,
 )
-from .kernel import retrieval_efficiency
+from .kernel import optimal_spin_wave, retrieval_efficiency
 
 __all__ = [
     "AdiabaticityWarning",
@@ -587,8 +587,6 @@ def optimal_storage_control(
     depth, by the time-reversal argument; it is attained for inputs long
     enough that the quasi-static approximation holds.
     """
-    from .kernel import optimal_spin_wave
-
     n2 = mode_norm2(input_mode)
     if abs(n2 - 1.0) > 1e-6:
         raise ValueError(f"input mode must be normalized, norm^2 = {n2!r}")

@@ -113,6 +113,9 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and value <= 0:
                 raise ConfigError(f"key '{key}' must be positive")
+        for key in ("omega", "seed"):  # omega = 0 picks the automatic control
+            if getattr(self, key) < 0:
+                raise ConfigError(f"key '{key}' must be non-negative")
         if self.d_max < self.d_min:
             raise ConfigError("key 'd_max' must be >= d_min")
         if self.retrieve not in ("none", "backward", "forward"):
@@ -458,10 +461,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in _SINGLE_DEPTH_COMMANDS:
             values.setdefault("d", "1")
         cfg = RunConfig(values)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         params, results, failed = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -121,6 +121,8 @@ class TimeGrid:
     def linspace(cls, t0: float, t1: float, n: int) -> "TimeGrid":
         if t1 <= t0:
             raise GridError("t1 must exceed t0")
+        if n < 2:
+            raise GridError(f"need at least 2 samples, got {n}")
         return cls(tau0=t0, dtau=(t1 - t0) / (n - 1), n=n)
 
 

@@ -15,20 +15,16 @@ optimally: the time reverse of the optimal-mode emission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j0
 
 from .core import FieldMode, SpaceGrid, SpinWave, TimeGrid, _chebyshev_interpolant, time_reverse
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simulator import EnsembleState
+from .kernel import optimal_spin_wave
 
 __all__ = [
     "retrieve_fast",
-    "pi_pulse",
     "optimal_fast_input",
     "FastInputResult",
     "recommended_fast_grid",
@@ -71,16 +67,6 @@ def retrieve_fast(s: SpinWave, d: float, grid: TimeGrid) -> FieldMode:
     return FieldMode(grid=grid, samples=out)
 
 
-def pi_pulse(state: "EnsembleState") -> "EnsembleState":
-    """Ideal instantaneous swap: P -> iS, S -> iP at every position.
-
-    The field is untouched and the excitation norm is preserved exactly.
-    The i-phase convention matches the sign of the fast-retrieval output
-    formula; applying the map twice gives a global minus sign.
-    """
-    return replace(state, P=1j * state.S, S=1j * state.P)
-
-
 @dataclass(frozen=True, eq=False)
 class FastInputResult:
     """Normalized optimal fast-storage input plus its raw emission energy.
@@ -103,8 +89,6 @@ def optimal_fast_input(
     Built as the time reverse of the free emission from the optimal
     retrieval mode, renormalized to unit energy.
     """
-    from .kernel import optimal_spin_wave
-
     s_opt, _ = optimal_spin_wave(d, space_grid)
     emission = retrieve_fast(s_opt, d, grid)
     reversed_mode = time_reverse(emission)

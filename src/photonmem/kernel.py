@@ -38,17 +38,19 @@ def kernel_eval(d, zeta, zeta_p):
     d = np.asarray(d, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     zeta_p = np.asarray(zeta_p, dtype=float)
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
-        raise ValueError("optical depth must be finite and > 0")
     if np.any(zeta < 0) or np.any(zeta > 1) or np.any(zeta_p < 0) or np.any(zeta_p > 1):
         raise ValueError("zeta arguments must lie in [0, 1]")
-    u = 1.0 - zeta
-    v = 1.0 - zeta_p
-    su, sv = np.sqrt(u), np.sqrt(v)
-    out = 0.5 * d * i0e(d * su * sv) * np.exp(-0.5 * d * (su - sv) ** 2)
+    out = _kernel_of_roots(d, np.sqrt(1.0 - zeta), np.sqrt(1.0 - zeta_p))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _kernel_of_roots(d, su, sv):
+    """The kernel at su = sqrt(1 - zeta), sv = sqrt(1 - zeta'), roots unchecked."""
+    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+        raise ValueError("optical depth must be finite and > 0")
+    return 0.5 * d * i0e(d * su * sv) * np.exp(-0.5 * d * (su - sv) ** 2)
 
 
 def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -58,10 +60,10 @@ def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarr
     The kernel is symmetric: it is evaluated on the pairs i <= j and
     mirrored, so the matrix is exactly symmetric.
     """
-    z, n = grid.nodes, grid.n
-    sw = np.sqrt(grid.weights)
+    n = grid.n
+    su, sw = np.sqrt(1.0 - grid.nodes), np.sqrt(grid.weights)
     i, j = np.triu_indices(n)
-    upper = sw[i] * kernel_eval(d, z[i], z[j]) * sw[j]
+    upper = sw[i] * _kernel_of_roots(d, su[i], su[j]) * sw[j]
     out = np.empty(n * n)
     out[i * n + j] = upper
     out[j * n + i] = upper

@@ -20,6 +20,7 @@ import numpy as np
 
 from .adiabatic import (
     _storage_from_retrieval,
+    default_h_max,
     optimal_storage_control,
     retrieval_matrix,
     store_adiabatic,
@@ -40,6 +41,7 @@ from .core import (
     time_reverse,
 )
 from .kernel import _kernel_eigh, retrieval_efficiency
+from .simulator import simulate_retrieval, simulate_storage
 
 __all__ = [
     "IterationTrace",
@@ -79,8 +81,6 @@ def completing_control(
     The window is sized so that the leftover excitation is negligible at
     this depth and detuning (same budget as the shaping default).
     """
-    from .adiabatic import default_h_max
-
     if omega is None:
         omega = max(1.0, 0.3 * math.sqrt(params.d))
     duration = default_h_max(params) / omega**2
@@ -164,8 +164,6 @@ def iterate_retrieval(
             return stored[::-1]  # flip back into the retrieval frame
 
     else:
-        from .simulator import simulate_retrieval, simulate_storage
-
         sigma, _ = normalized_spinwave(
             resample_spinwave(init, SpaceGrid.uniform_midpoint(n_zeta))
         )

@@ -82,9 +82,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from . import fast as _fast
 from .core import (
     ControlField,
     EfficiencyBreakdown,
@@ -108,6 +106,7 @@ __all__ = [
     "simulate_storage",
     "simulate_retrieval",
     "simulate_fast_storage",
+    "pi_pulse",
     "apply_finite_pi_pulse",
     "energy_audit",
 ]
@@ -226,7 +225,6 @@ def _output_grid(params: MediumParams, window, ctrl: Waveform, input_mode, dtau)
 class _Uniform:
     """Equal steps of ``h``: every step is kept, and an unstable chunk raises."""
 
-    adaptive = False
     tol = energy_tol = math.inf
 
     def __init__(self, h: float):
@@ -234,6 +232,9 @@ class _Uniform:
 
     def judge(self, ratio: float, h: float) -> None:
         pass
+
+    def unstable(self, message: str) -> float:
+        raise InstabilityError(message)
 
 
 class _Controller:
@@ -247,15 +248,17 @@ class _Controller:
     step a chunk ended before or the chunk's largest, and sets ``self.h`` to
     h * safety * ratio^(-1/4), the elementary controller of a third-order
     estimate, changed by at most ``_GROW`` or ``_SHRINK`` and at most
-    ``h_max``.  A non-finite ratio shrinks the step most.
+    ``h_max``.  A non-finite ratio, which ``unstable`` gives, shrinks the
+    step most.
     """
-
-    adaptive = True
 
     def __init__(self, h_max: float, amplitude: float):
         self.h = self.h_max = h_max
         self.tol = _STEP_TOL * amplitude
         self.energy_tol = _ENERGY_TOL * amplitude**2
+
+    def unstable(self, message: str) -> float:
+        return math.inf
 
     def judge(self, ratio: float, h: float) -> None:
         if ratio == 0.0:
@@ -299,14 +302,14 @@ class _Integrator:
         ``input_mode`` and ``ctrl`` are sampled waveforms or ``None`` (off);
         each becomes one cubic spline, read once per chunk at the chunk's
         stage times t + h (0, 1/2, 1, ..., n).  ``steps`` is the step policy,
-        :class:`_Controller` or :class:`_Uniform`; the last chunk is cut to
-        end on the window's end.  Every stage works in one buffer allocated
-        per call: the four stage derivatives [dP, dS], then the four stage
-        states [P, S, C] with the ghost cell of the module docstring in
-        column 0; stage 1's state is y = [P, S] itself.  A stage is one
-        cumulative sum, one 2x3 product and one ``vdot`` for sum|P|^2, and
-        the next stage's state is one product of [c, 1] with the rows
-        [k, y].  A step's first stage also gives the previous step's error
+        :class:`_Controller` or :class:`_Uniform`, which also says what an
+        unstable chunk does; the last chunk is cut to end on the window's
+        end.  Every stage works in one buffer allocated per call: the four
+        stage derivatives [dP, dS], then the four stage states [P, S, C]
+        with the ghost cell of the module docstring in column 0; stage 1's
+        state is y = [P, S] itself.  A stage is one cumulative sum, one 2x3
+        product and one ``vdot`` for sum|P|^2, and the next stage's state is
+        y + c k.  A step's first stage also gives the previous step's error
         estimate (h/6)|k4 - k1|, and one more first stage at the chunk's end
         the last one's.  The exit-face fields and |P|^2 sums the stages
         record are reduced into the input, leaked and decayed energies of a
@@ -364,16 +367,11 @@ class _Integrator:
         saved = np.empty(2 * fm)
         # stage s > 0 starts from y + c_s k[s - 1], c = h/2, h/2, h, and reads
         # the drive at half-step point 2j + 1, 2j + 1, 2j + 2 of step j
-        stage_c = np.ones((3, 2))
-        stages = []
-        for s, point in zip((1, 2, 3), (1, 1, 2)):
-            rows = as_strided(
-                real[2 * (s - 1) * fm:], shape=(2, 2 * fm),
-                strides=((10 - 2 * s) * fm * real.itemsize, real.itemsize), writeable=False,
-            )
-            state = real[(8 + 3 * s) * fm: (10 + 3 * s) * fm]
-            stages.append((s, stage_c[s - 1], rows, state, point, st[s, 0], st[s, 2], st[s], k[s],
-                           st[s, 0, 1:]))
+        stages = [
+            (s, k_real[s - 1], real[(8 + 3 * s) * fm: (10 + 3 * s) * fm], point, st[s, 0],
+             st[s, 2], st[s], k[s], st[s, 0, 1:])
+            for s, point in zip((1, 2, 3), (1, 1, 2))
+        ]
         p_row, c_row, psc, k1, p_cells = st[0, 0], st[0, 2], st[0], k[0], st[0, 0, 1:]
         # k4 - k1 from the P row's first cell on: the S ghosts of the two are
         # equal (the drive and the ghost at the same time), the P ghosts not
@@ -401,7 +399,8 @@ class _Integrator:
         n0 = dz * float(np.vdot(cells, cells).real)
         out = None if out_times is None else np.empty(out_times.size, dtype=complex)
         n_out = 0
-        dot, vdot, accumulate, subtract = np.dot, np.vdot, np.add.accumulate, np.subtract
+        dot, vdot, accumulate = np.dot, np.vdot, np.add.accumulate
+        add, multiply, subtract = np.add, np.multiply, np.subtract
         done = stop is not None and dz * float(np.vdot(p_cells, p_cells).real) <= stop
         while not done:
             h = steps.h
@@ -427,21 +426,16 @@ class _Integrator:
             # share of the step's error
             drive_err = np.zeros(nc)
             fail = None  # the error ratio of the step the chunk ends before
-            if steps.adaptive:
-                gains = (sqrt_d, math.sqrt(n_start + step_in.sum()))
-                for f_of, vals, gain in zip((e_of, w_of), (e, w), gains):
-                    if f_of is not None:
-                        exact = np.diff(f_of.integral(times[::2]))
-                        drive_err += gain * np.abs(simpson(vals) - exact)
-                over = np.flatnonzero(drive_err > steps.tol)
-                if over.size:
-                    nc, fail = int(over[0]), float(drive_err[over[0]]) / steps.tol
-                    drive_err, step_in = drive_err[:nc], step_in[:nc]
-                    e, w = e[: 2 * nc + 1], w[: 2 * nc + 1]
-                    if nc == 0:
-                        steps.judge(fail, h)
-                        self.redone += 1
-                        continue
+            gains = (sqrt_d, math.sqrt(n_start + step_in.sum()))
+            for f_of, vals, gain in zip((e_of, w_of), (e, w), gains):
+                if f_of is not None:
+                    exact = np.diff(f_of.integral(times[::2]))
+                    drive_err += gain * np.abs(simpson(vals) - exact)
+            over = np.flatnonzero(drive_err > steps.tol)
+            if over.size:
+                nc, fail = int(over[0]), float(drive_err[over[0]]) / steps.tol
+                drive_err, step_in = drive_err[:nc], step_in[:nc]
+                e, w = e[: 2 * nc + 1], w[: 2 * nc + 1]
             if self.tried + nc > MAX_STEPS:
                 raise InstabilityError(f"more than {MAX_STEPS} steps exceeds limit")
             self.tried += nc
@@ -457,7 +451,7 @@ class _Integrator:
             coef[: 2 * nc + 1, 0, 1] = rot_in * w
             coef[: 2 * nc + 1, 1, 0] = rot_out * w.conj()
             ghost = ghost_scale * e
-            stage_c[:, 0] = (0.5 * h, 0.5 * h, h)
+            stage_h = (0.5 * h, 0.5 * h, h)
             np.multiply(h / 6.0, rk4_weights, out=weights)
             saved[:] = y_real
             kept = nc
@@ -484,8 +478,9 @@ class _Integrator:
                 if j == nc:
                     tails[j, 0] = tail_view[0]
                     break
-                for s, c, rows, state, point, s_p_row, s_c_row, s_psc, ks, s_p_cells in stages:
-                    dot(c, rows, out=state)
+                for s, k_prev, state, point, s_p_row, s_c_row, s_psc, ks, s_p_cells in stages:
+                    multiply(k_prev, stage_h[s - 1], out=state)
+                    add(state, y_real, out=state)
                     i = 2 * j + point
                     s_p_row[0] = ghost[i]
                     accumulate(s_p_row, out=s_c_row)
@@ -499,20 +494,16 @@ class _Integrator:
             step_err = (h / 6.0) * np.sqrt(dz * errs[:kept]) + drive_err[:kept]
             n_now = dz * float(np.vdot(cells, cells).real)
             if not np.isfinite(n_now):
-                if not steps.adaptive:
-                    raise InstabilityError(
-                        f"non-finite state at tau={t + nc * h:.3f}; reduce dtau"
-                    )
-                kept, fail = 0, math.inf
+                kept, fail = 0, steps.unstable(
+                    f"non-finite state at tau={t + nc * h:.3f}; reduce dtau"
+                )
             # leaked/decayed energy never returns, so the excitation still in
             # the medium can only exceed the injected budget through
             # numerical blow-up
             elif self.damping >= 1.0 and n_now > n0 + acc_in + step_in[:kept].sum() + 1e-6:
-                if not steps.adaptive:
-                    raise InstabilityError(
-                        "excitation grew beyond the injected energy; reduce dtau"
-                    )
-                kept, fail = 0, math.inf
+                kept, fail = 0, steps.unstable(
+                    "excitation grew beyond the injected energy; reduce dtau"
+                )
             # the next chunk's step from the error ratio of the step that
             # failed, if one did, else from the chunk's largest
             if fail is None:
@@ -571,9 +562,9 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, steps):
 
 
 def _swap_finish(integ: _Integrator, p, s, t_end: float, steps):
-    """The ideal instantaneous swap pulse, :func:`photonmem.fast.pi_pulse`."""
+    """The ideal instantaneous swap pulse, :func:`pi_pulse`."""
     e = integ.field_profile(p, 0.0)[0]
-    state = _fast.pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
+    state = pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
     return state.P, state.S, 0.0, 0.0, 0.0
 
 
@@ -725,6 +716,16 @@ def simulate_fast_storage(
         "storage", params, n_zeta, None, (input_mode.grid.tau0, input_mode.grid.t_end),
         input_mode, None, _swap_finish, dtau,
     )
+
+
+def pi_pulse(state: EnsembleState) -> EnsembleState:
+    """Ideal instantaneous swap: P -> iS, S -> iP at every position.
+
+    The field is untouched and the excitation norm is preserved exactly.
+    The i-phase convention matches the sign of the fast-retrieval output
+    formula; applying the map twice gives a global minus sign.
+    """
+    return replace(state, P=1j * state.S, S=1j * state.P)
 
 
 def apply_finite_pi_pulse(

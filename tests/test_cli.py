@@ -286,6 +286,25 @@ class TestExitCodes:
         rc = main(["optimal-spinwave", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_one_input_sample_is_two(self, tmp_path, capsys):
+        # a one-sample input grid cannot be built; it is refused before the
+        # grid's spacing is divided by n - 1 = 0
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text("input_n = 1\n")
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "at least 2 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, flags", [("omega", ["--omega", "-3"]),
+                                            ("seed", ["--init", "random", "--seed", "-1"])])
+    def test_negative_iterate_key_is_one(self, tmp_path, key, flags, capsys):
+        # omega = 0 picks the automatic control, a negative one is no control;
+        # a seed is a non-negative integer
+        out = tmp_path / "x"
+        assert main(["iterate", *flags, "--out", str(out)]) == 1
+        assert f"'{key}' must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_under_resolved_grid_is_two(self, tmp_path):
         cfg = tmp_path / "n.cfg"
         cfg.write_text("gauss_nodes = 50\n")

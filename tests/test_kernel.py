@@ -170,6 +170,15 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize("d", [-1.0, 0.0, math.inf, math.nan])
+    def test_matrix_routes_refuse_a_bad_depth(self, gauss_grid, d):
+        # the Nystrom matrix reads the kernel off per-node roots, past
+        # kernel_eval's checks; the depth is still checked
+        with pytest.raises(ValueError, match="optical depth"):
+            optimal_spin_wave(d, gauss_grid)
+        with pytest.raises(ValueError, match="optical depth"):
+            retrieval_efficiency(SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n)), d)
+
 
 class TestRetrievalEfficiency:
     def test_zero_wave(self, gauss_grid):

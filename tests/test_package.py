@@ -125,6 +125,39 @@ def test_every_public_definition_is_exported(layer):
     assert sorted(set(defined) - set(mod.__all__)) == []
 
 
+def _relative_imports(path: Path):
+    """(line, bound module, inside a function) of each relative import in ``path``;
+    ``from . import x`` binds ``x``, which is a module or a package attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_function = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node) if inner is not node}
+    return [(node.lineno, name, id(node) in in_function)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module] if node.module else [a.name for a in node.names])]
+
+
+def test_layers_import_only_earlier_layers_at_the_top():
+    # each layer builds on the ones before it in __init__'s order; cli alone
+    # imports at call time, so that a patched simulator function reaches it
+    src = Path(photonmem.__file__).resolve().parent
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    order = [alias.name for node in init.body
+             if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+             for alias in node.names]
+    assert order[:len(_LAYERS)] == list(_LAYERS) and order[-1] == "cli"
+    modules = {p.stem for p in src.glob("*.py")}
+    upward, late = [], []
+    for rank, layer in enumerate(order):
+        for line, name, inside in _relative_imports(src / f"{layer}.py"):
+            if name in modules and name not in order[:rank]:
+                upward.append(f"{layer}.py:{line} imports {name}")
+            if inside and layer != "cli":
+                late.append(f"{layer}.py:{line} imports {name} in a function")
+    assert upward == []
+    assert late == []
+
+
 def test_declared_numpy_floor_has_trapezoid():
     # core calls np.trapezoid, which numpy has only from 2.0
     tomllib = pytest.importorskip("tomllib")

@@ -29,7 +29,7 @@ from photonmem import simulator
 from photonmem.fast import recommended_fast_grid
 from photonmem.cli import _parse_piecewise_control
 from photonmem.core import _WaveformSpline
-from photonmem.simulator import DEFECT_TOL, _Integrator, _Uniform
+from photonmem.simulator import DEFECT_TOL, _Controller, _Integrator, _Uniform
 
 from conftest import smooth_test_wave
 
@@ -359,6 +359,17 @@ class TestStepController:
         p0[3] = np.nan
         with pytest.raises(InstabilityError, match="tau=1.640"):
             march_uniform(integ, p0, p0, 1.0, 0.01, 200)
+
+    def test_controller_redoes_an_unstable_chunk_until_the_step_underflows(self):
+        # a NaN fails every chunk; the controller redoes each at a step cut
+        # by the largest shrink instead of raising, until the step underflows
+        integ = _Integrator(MediumParams(d=5.0), 64)
+        p0 = np.zeros(64, dtype=complex)
+        p0[3] = np.nan
+        with pytest.raises(InstabilityError, match="underflows"):
+            integ.march(p0, p0, (1.0, 3.0), None, None, _Controller(0.05, 1.0))
+        assert integ.n_steps == 0
+        assert integ.redone >= 1
 
     def test_long_window_memory_is_bounded(self):
         # T = 300 at d = 1: 6,001 output samples.  The drives are read per
