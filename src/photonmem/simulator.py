@@ -118,6 +118,8 @@ DEFECT_TOL = 1e-4
 RING_DOWN_P_TOL = 1e-10
 RING_DOWN_MAX_TIME = 40.0
 MAX_STEPS = 20_000_000
+# largest predicted RK4 steps times cells a run may start with
+WORK_BUDGET = 100_000_000
 # RK4 steps per chunk: one step size, one drive evaluation, one keep-or-redo
 # decision and one instability check each; the scratch memory scales with
 # this, not with the run length
@@ -204,21 +206,27 @@ def _medium_dtau(params: MediumParams) -> float:
     return min(0.05, 0.5 / math.sqrt(1.0 + params.delta**2), 2.0 / (1.0 + 0.7 * params.d))
 
 
-def _output_grid(params: MediumParams, window, ctrl: Waveform, input_mode, dtau) -> TimeGrid:
+def _output_grid(params: MediumParams, window, ctrl: Waveform, input_mode, dtau,
+                 n_zeta: int) -> TimeGrid:
     """Uniform grid of the output field: equal spacings of at most ``dtau``,
     or when it is ``None`` of at most the medium's step bound and the
     sampling of a sampled control or input.  It sets where the output is
-    written; only an explicit ``dtau`` also sets the RK4 steps."""
+    written; only an explicit ``dtau`` also sets the RK4 steps.  A run whose
+    predicted steps (at ``dtau``, else at the step bound) times ``n_zeta``
+    exceed ``WORK_BUDGET`` is refused before anything is allocated."""
+    t0, t1 = window
+    bound = _medium_dtau(params)
+    work = math.ceil((t1 - t0) / (bound if dtau is None else dtau) - 1e-12) * n_zeta
+    if work > WORK_BUDGET:
+        raise InstabilityError(f"predicted {work:.3g} cell-steps exceed the budget of "
+                               f"{WORK_BUDGET:.3g}; lower d, the window or n_zeta")
     if dtau is None:
-        dtau = _medium_dtau(params)
+        dtau = bound
         if isinstance(ctrl, ControlField):
             dtau = min(dtau, ctrl.grid.dtau)
         if input_mode is not None:
             dtau = min(dtau, input_mode.grid.dtau)
-    t0, t1 = window
     n = max(2, int(math.ceil((t1 - t0) / dtau - 1e-12)))
-    if n > MAX_STEPS:
-        raise InstabilityError(f"required {n} output samples exceeds limit; widen dtau")
     return TimeGrid(tau0=t0, dtau=(t1 - t0) / n, n=n + 1)
 
 
@@ -288,265 +296,268 @@ class _Integrator:
         self.n_steps = self.complex_steps = self.redone = self.tried = 0
         self.dt_max, self.dt_min, self.error_max = 0.0, math.inf, 0.0
 
-    def field_profile(self, p: np.ndarray, e_in: complex):
-        """Cell-center field values and the exit-face value for given P."""
+    def field_profile(self, p: np.ndarray, e_in: complex) -> np.ndarray:
+        """Cell-center field values for given P."""
         cs = np.cumsum(p) * self.dz
-        e_end = e_in + 1j * self.sqrt_d * cs[-1]
-        e_centers = e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
-        return e_centers, e_end
+        return e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
 
     def march(self, p0, s0, window, input_mode: Waveform, ctrl: Waveform, steps,
               out_times=None, stop=None):
-        """RK4 from (p0, s0) across ``window`` in chunks sized by ``steps``.
-
-        ``input_mode`` and ``ctrl`` are sampled waveforms or ``None`` (off);
-        each becomes one cubic spline, read once per chunk at the chunk's
-        stage times t + h (0, 1/2, 1, ..., n).  ``steps`` is the step policy,
-        :class:`_Controller` or :class:`_Uniform`, which also says what an
-        unstable chunk does; the last chunk is cut to end on the window's
-        end.  Every stage works in one buffer allocated per call: the four
-        stage derivatives [dP, dS], then the four stage states [P, S, C]
-        with the ghost cell of the module docstring in column 0; stage 1's
-        state is y = [P, S] itself.  A stage is one cumulative sum, one 2x3
-        product and one ``vdot`` for sum|P|^2, and the next stage's state is
-        y + c k.  A step's first stage also gives the previous step's error
-        estimate (h/6)|k4 - k1|, and one more first stage at the chunk's end
-        the last one's.  The exit-face fields and |P|^2 sums the stages
-        record are reduced into the input, leaked and decayed energies of a
-        chunk once it is kept.
-
+        """RK4 from (p0, s0) across ``window`` in chunks sized by ``steps``, the
+        policy (:class:`_Controller` or :class:`_Uniform`) that also says what an
+        unstable chunk does; the last chunk is cut to end on the window's end.
         With ``out_times`` (ascending, inside the window) the exit field is
-        returned there: the input plus i sqrt(d) dz F, F = sum(P), from
-        each step's cubic Hermite interpolant of F.  F is a stage's tail
-        minus its ghost, and stage 2 starts from y + (h/2) k1, so its F
-        minus stage 1's is (h/2) F'.  With ``stop`` the march ends after the
-        first chunk that leaves dz sum|P|^2 at or below it.
-
-        When the inputs lie in the real subspace of the module docstring the
-        buffer is real and holds [p, S, C_p] with P = i p; P, S and the output
-        are returned complex either way.  Returns (p, s, out, acc_in,
-        acc_leak, acc_dec, n0, t_end).
+        returned there; with ``stop`` the march ends after the first chunk that
+        leaves dz sum|P|^2 at or below it.  P, S and the output are complex.
+        Returns (p, s, out, acc_in, acc_leak, acc_dec, n0, t_end).
         """
-        n, dz, sqrt_d = self.grid.n, self.dz, self.sqrt_d
-        m = n + 1
-        alpha = self.decay_coeff + 0.5 * self.params.d * dz
-        beta = self.params.d * dz
-        dec_rate = 2.0 * self.damping * dz
-        waves = (input_mode, ctrl)
-        e_of, w_of = (None if wf is None else _WaveformSpline(wf) for wf in waves)
-        p0, s0 = np.asarray(p0), np.asarray(s0)
-        real_run = (
-            self.params.delta == 0.0
-            and not any(wf is not None and np.any(wf.samples.imag) for wf in waves)
-            and not np.any(p0.real) and not np.any(s0.imag)
-        )
-        # the factors of omega and the ghost in the P row (rot_in) and of
-        # conj(omega) in the S row and the exit field (rot_out): i and i, or,
-        # after P = i p, i/i = 1 and i*i = -1
-        if real_run:
-            dtype, rot_in, rot_out = float, 1.0, -1.0
-            alpha = alpha.real
-            p0, s0 = p0.imag, s0.real
-        else:
-            dtype, rot_in, rot_out = complex, 1j, 1j
-
-        buf = np.zeros(20 * m, dtype=dtype)
-        k = buf[: 8 * m].reshape(4, 2, m)
-        st = buf[8 * m:].reshape(4, 3, m)
-        y = st[0, :2]
-        y[0, 1:] = p0
-        y[1, 1:] = s0
-        cells = y[:, 1:]
-        # real views: the RK4 weights are real, and so act on re and im alike;
-        # fm floats per row
-        real = buf.view(float)
-        fm = real.size // buf.size * m
-        k_real = real[: 8 * fm].reshape(4, 2 * fm)
-        y_real = real[8 * fm: 10 * fm]
-        acc_real = np.empty(2 * fm)
-        saved = np.empty(2 * fm)
-        # stage s > 0 starts from y + c_s k[s - 1], c = h/2, h/2, h, and reads
-        # the drive at half-step point 2j + 1, 2j + 1, 2j + 2 of step j
-        stages = [
-            (s, k_real[s - 1], real[(8 + 3 * s) * fm: (10 + 3 * s) * fm], point, st[s, 0],
-             st[s, 2], st[s], k[s], st[s, 0, 1:])
-            for s, point in zip((1, 2, 3), (1, 1, 2))
-        ]
-        p_row, c_row, psc, k1, p_cells = st[0, 0], st[0, 2], st[0], k[0], st[0, 0, 1:]
-        # k4 - k1 from the P row's first cell on: the S ghosts of the two are
-        # equal (the drive and the ghost at the same time), the P ghosts not
-        gw = fm // m
-        k4_cells, k1_cells = k_real[3, gw:], k_real[0, gw:]
-        diff = np.empty(2 * fm - gw)
-        tail_view = st[:, 2, -1]
-        weights = np.empty(4)
-        rk4_weights = np.array([1.0, 2.0, 2.0, 1.0])
-        coef = np.zeros((2 * _CHUNK + 1, 2, 3), dtype=dtype)
-        coef[:, 0, 0] = alpha
-        coef[:, 0, 2] = -beta
-        ghost_scale = -rot_in * sqrt_d / beta
-        out_scale = rot_out * sqrt_d * dz
-        half_steps = 0.5 * np.arange(2 * _CHUNK + 1)
-        off = np.zeros(2 * _CHUNK + 1, dtype=dtype)
-        tails = np.empty((_CHUNK + 1, 4), dtype=dtype)
-        sums = np.empty((_CHUNK + 1, 4), dtype=dtype)
-        errs = np.empty(_CHUNK)
-        energy_errs = np.empty(_CHUNK)
-
+        chunks = _Chunks(self, p0, s0, input_mode, ctrl)
         t, t1 = window
-        span = t1 - t
         acc_in = acc_leak = acc_dec = 0.0
-        n0 = dz * float(np.vdot(cells, cells).real)
+        n0 = chunks.norm(chunks.cells)
         out = None if out_times is None else np.empty(out_times.size, dtype=complex)
-        n_out = 0
-        dot, vdot, accumulate = np.dot, np.vdot, np.add.accumulate
-        add, multiply, subtract = np.add, np.multiply, np.subtract
-        done = stop is not None and dz * float(np.vdot(p_cells, p_cells).real) <= stop
-        while not done:
+        n_out, last = 0, False
+        while not (last or stop is not None and chunks.norm(chunks.p_cells) <= stop):
             h = steps.h
             left = t1 - t
             nc = min(_CHUNK, max(1, math.ceil(left / h - 1e-9)))
             last = nc * h >= left - 1e-9 * h
             if last:
                 h = left / nc
-            if h < 1e-12 * span:
+            if h < 1e-12 * (t1 - window[0]):
                 raise InstabilityError(f"step size {h:.3g} underflows at tau={t:.3f}")
-            times = t + h * half_steps[: 2 * nc + 1]
-            e = off[: 2 * nc + 1] if e_of is None else e_of(times)
-            w = off[: 2 * nc + 1] if w_of is None else w_of(times)
-
-            def simpson(v):
-                return (h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2])
-
-            step_in = simpson(np.abs(e) ** 2)
-            n_start = dz * float(np.vdot(cells, cells).real)
-            # a step sees the drives through Simpson's rule on its stage
-            # values; the error of that rule against the spline's integral,
-            # times the state's sensitivity to the drive, is the drives'
-            # share of the step's error
-            drive_err = np.zeros(nc)
-            fail = None  # the error ratio of the step the chunk ends before
-            gains = (sqrt_d, math.sqrt(n_start + step_in.sum()))
-            for f_of, vals, gain in zip((e_of, w_of), (e, w), gains):
-                if f_of is not None:
-                    exact = np.diff(f_of.integral(times[::2]))
-                    drive_err += gain * np.abs(simpson(vals) - exact)
-            over = np.flatnonzero(drive_err > steps.tol)
-            if over.size:
-                nc, fail = int(over[0]), float(drive_err[over[0]]) / steps.tol
-                drive_err, step_in = drive_err[:nc], step_in[:nc]
-                e, w = e[: 2 * nc + 1], w[: 2 * nc + 1]
-            if self.tried + nc > MAX_STEPS:
+            ran, fail = chunks.read_drives(t, h, nc, steps.tol)
+            if self.tried + ran > MAX_STEPS:
                 raise InstabilityError(f"more than {MAX_STEPS} steps exceeds limit")
-            self.tried += nc
-            # a step whose RK4 estimate exceeds what the drives leave of the
-            # tolerance is undone, and the chunk ends before it
-            limits = ((steps.tol - drive_err) * (6.0 / h)) ** 2 / dz
-            # the embedded estimates of the leaked and decayed energies:
-            # (h/6) times the change of their rates from stage 4 to the
-            # next step's stage 1
-            leak_w, dec_w = (h / 6.0) * abs(out_scale) ** 2, (h / 6.0) * dec_rate
-            if real_run:
-                e, w = e.real, w.real
-            coef[: 2 * nc + 1, 0, 1] = rot_in * w
-            coef[: 2 * nc + 1, 1, 0] = rot_out * w.conj()
-            ghost = ghost_scale * e
-            stage_h = (0.5 * h, 0.5 * h, h)
-            np.multiply(h / 6.0, rk4_weights, out=weights)
-            saved[:] = y_real
-            kept = nc
-            for j in range(nc + 1):
-                p_row[0] = ghost[2 * j]
-                accumulate(p_row, out=c_row)
-                dot(coef[2 * j], psc, out=k1)
-                sums[j, 0] = vdot(p_cells, p_cells)
-                if j:
-                    subtract(k4_cells, k1_cells, out=diff)
-                    errs[j - 1] = vdot(diff, diff)
-                    energy_errs[j - 1] = (
-                        leak_w * abs(abs(tails[j - 1, 3]) ** 2 - abs(tail_view[0]) ** 2)
-                        + dec_w * abs(sums[j - 1, 3].real - sums[j, 0].real)
-                    )
-                    if errs[j - 1] > limits[j - 1] or energy_errs[j - 1] > steps.energy_tol:
-                        y_real -= acc_real
-                        kept = j - 1
-                        fail = max(
-                            ((h / 6.0) * math.sqrt(dz * errs[kept]) + drive_err[kept]) / steps.tol,
-                            energy_errs[kept] / steps.energy_tol,
-                        )
-                        break
-                if j == nc:
-                    tails[j, 0] = tail_view[0]
-                    break
-                for s, k_prev, state, point, s_p_row, s_c_row, s_psc, ks, s_p_cells in stages:
-                    multiply(k_prev, stage_h[s - 1], out=state)
-                    add(state, y_real, out=state)
-                    i = 2 * j + point
-                    s_p_row[0] = ghost[i]
-                    accumulate(s_p_row, out=s_c_row)
-                    dot(coef[i], s_psc, out=ks)
-                    sums[j, s] = vdot(s_p_cells, s_p_cells)
-                tails[j] = tail_view
-                dot(weights, k_real, out=acc_real)
-                y_real += acc_real
-                # the ghost S gains i conj(omega) g h per step; keep it bounded
-                y[1, 0] = 0.0
-            step_err = (h / 6.0) * np.sqrt(dz * errs[:kept]) + drive_err[:kept]
-            n_now = dz * float(np.vdot(cells, cells).real)
+            self.tried += ran
+            kept, ratio, step_err = chunks.rk4(h, ran, steps, fail)
+            gained, leaked, decayed = chunks.energies(kept)
+            n_now = chunks.norm(chunks.cells)
             if not np.isfinite(n_now):
-                kept, fail = 0, steps.unstable(
-                    f"non-finite state at tau={t + nc * h:.3f}; reduce dtau"
-                )
+                kept, ratio = 0, steps.unstable(f"non-finite state at tau={t + ran * h:.3f};"
+                                                " reduce dtau")
             # leaked/decayed energy never returns, so the excitation still in
             # the medium can only exceed the injected budget through
             # numerical blow-up
-            elif self.damping >= 1.0 and n_now > n0 + acc_in + step_in[:kept].sum() + 1e-6:
-                kept, fail = 0, steps.unstable(
-                    "excitation grew beyond the injected energy; reduce dtau"
-                )
-            # the next chunk's step from the error ratio of the step that
-            # failed, if one did, else from the chunk's largest
-            if fail is None:
-                steps.judge(max(float(step_err.max()) / steps.tol,
-                                float(energy_errs[:kept].max()) / steps.energy_tol), h)
-            else:
-                steps.judge(fail, h)
+            elif self.damping >= 1.0 and n_now > n0 + acc_in + gained + 1e-6:
+                kept, ratio = 0, steps.unstable("excitation grew beyond the injected energy;"
+                                                " reduce dtau")
+            steps.judge(ratio, h)
+            # a chunk that keeps fewer steps than it was sized for failed one
+            if kept < nc:
                 self.redone += 1
                 last = False
                 if kept == 0:
-                    y_real[:] = saved
+                    chunks.y_real[:] = chunks.saved
                     continue
             self.n_steps += kept
-            if not real_run:
+            if not chunks.real:
                 self.complex_steps += kept
             self.dt_max, self.dt_min = max(self.dt_max, h), min(self.dt_min, h)
             self.error_max = max(self.error_max, float(step_err.max()))
-            acc_in += float(step_in[:kept].sum())
-            acc_leak += abs(out_scale) ** 2 * float(np.sum(np.abs(tails[:kept]) ** 2 @ weights))
-            acc_dec += dec_rate * float(np.sum(sums[:kept].real @ weights))
+            acc_in, acc_leak, acc_dec = acc_in + gained, acc_leak + leaked, acc_dec + decayed
             t_next = t1 if last else t + kept * h
             if out is not None:
                 hi = out.size if last else int(np.searchsorted(out_times, t_next))
-                tau = out_times[n_out:hi]
-                f = tails[: kept + 1, 0] - ghost[: 2 * kept + 1: 2]
-                df = np.empty(kept + 1, dtype=dtype)
-                r = min(kept + 1, nc)  # the steps whose second stage ran
-                df[:r] = (2.0 / h) * (tails[:r, 1] - ghost[1: 2 * r: 2] - f[:r])
-                if r == kept:
-                    df[kept] = k1[0, 1:].sum()
-                x = (tau - t) / h
-                j = np.minimum(x.astype(np.int64), kept - 1)
-                _, f_tau = _hermite_panel(f[j], df[j], f[j + 1], df[j + 1], h, x - j)
-                out[n_out:hi] = out_scale * f_tau
-                if e_of is not None:
-                    out[n_out:hi] += e_of(tau)
+                chunks.output(out[n_out:hi], out_times[n_out:hi], t, h, kept, ran)
                 n_out = hi
             t = t_next
-            done = last or (stop is not None and dz * float(np.vdot(p_cells, p_cells).real) <= stop)
-        p, s = y[0, 1:], y[1, 1:]
-        if real_run:
+        p, s = chunks.y[0, 1:], chunks.y[1, 1:]
+        if chunks.real:
             p, s = 1j * p, s.astype(complex)
         return p, s, out, acc_in, acc_leak, acc_dec, n0, t
+
+
+class _Chunks:
+    """The buffers of one march and the parts of its chunks.
+
+    ``input_mode`` and ``ctrl`` are sampled waveforms or ``None`` (off).  One
+    buffer holds the four stage derivatives [dP, dS], then the four stage
+    states [P, S, C] with the ghost cell of the module docstring in column 0;
+    stage 1's state is y = [P, S] itself.  When the inputs lie in the real
+    subspace of the module docstring (``real``) the buffer is real and holds
+    [p, S, C_p] with P = i p.  Each part leaves on ``self`` what the next
+    reads: ``read_drives`` the ghosts, drive errors and input energies, ``rk4``
+    the RK4 weights.
+    """
+
+    def __init__(self, integ: _Integrator, p0, s0, input_mode: Waveform, ctrl: Waveform):
+        self.dz, self.sqrt_d, d = integ.dz, integ.sqrt_d, integ.params.d
+        m = integ.grid.n + 1
+        alpha, beta = integ.decay_coeff + 0.5 * d * self.dz, d * self.dz
+        self.dec_rate = 2.0 * integ.damping * self.dz
+        waves = (input_mode, ctrl)
+        self.e_of, self.w_of = (None if wf is None else _WaveformSpline(wf) for wf in waves)
+        p0, s0 = np.asarray(p0), np.asarray(s0)
+        self.real = (integ.params.delta == 0.0
+                     and not any(wf is not None and np.any(wf.samples.imag) for wf in waves)
+                     and not np.any(p0.real) and not np.any(s0.imag))
+        # the factors of omega and the ghost in the P row (rot_in) and of
+        # conj(omega) in the S row and the exit field (rot_out): i and i, or,
+        # after P = i p, i/i = 1 and i*i = -1
+        if self.real:
+            dtype, self.rot_in, self.rot_out = float, 1.0, -1.0
+            alpha = alpha.real
+            p0, s0 = p0.imag, s0.real
+        else:
+            dtype, self.rot_in, self.rot_out = complex, 1j, 1j
+        buf = np.zeros(20 * m, dtype=dtype)
+        self.k = buf[: 8 * m].reshape(4, 2, m)
+        self.st = buf[8 * m:].reshape(4, 3, m)
+        self.y = self.st[0, :2]
+        self.cells, self.p_cells = self.y[:, 1:], self.y[0, 1:]
+        self.cells[:] = p0, s0
+        # real views: the RK4 weights are real, and so act on re and im alike;
+        # fm floats per row
+        self.flat = buf.view(float)
+        self.fm = fm = self.flat.size // buf.size * m
+        self.y_real = self.flat[8 * fm: 10 * fm]
+        self.saved = np.empty(2 * fm)
+        self.coef = np.zeros((2 * _CHUNK + 1, 2, 3), dtype=dtype)
+        self.coef[:, 0, ::2] = alpha, -beta
+        self.ghost_scale = -self.rot_in * self.sqrt_d / beta
+        self.out_scale = self.rot_out * self.sqrt_d * self.dz
+        self.tails, self.sums = np.empty((2, _CHUNK + 1, 4), dtype=dtype)
+        self.errs, self.energy_errs = np.empty(_CHUNK), np.empty(_CHUNK)
+
+    def norm(self, x) -> float:
+        """dz sum |x|^2."""
+        return self.dz * float(np.vdot(x, x).real)
+
+    def read_drives(self, t: float, h: float, nc: int, tol: float):
+        """Read the drives at the stage times t + h (0, 1/2, 1, ..., nc) of ``nc``
+        steps of ``h``, cut the chunk before the first step whose drive error
+        exceeds ``tol``, and fill ``coef`` and the ghosts of the steps left.
+        Returns their number and that step's error ratio (``None``: no cut).
+        """
+        times = t + h * (0.5 * np.arange(2 * nc + 1))
+        off = np.zeros(times.size, dtype=self.coef.dtype)
+        e = off if self.e_of is None else self.e_of(times)
+        w = off if self.w_of is None else self.w_of(times)
+
+        def simpson(v):
+            return (h / 6.0) * (v[:-1:2] + 4.0 * v[1::2] + v[2::2])
+
+        step_in = simpson(np.abs(e) ** 2)
+        drive_err = np.zeros(nc)
+        fail = None
+        gains = (self.sqrt_d, math.sqrt(self.norm(self.cells) + step_in.sum()))
+        for f_of, vals, gain in zip((self.e_of, self.w_of), (e, w), gains):
+            if f_of is not None:
+                exact = np.diff(f_of.integral(times[::2]))
+                drive_err += gain * np.abs(simpson(vals) - exact)
+        over = np.flatnonzero(drive_err > tol)
+        if over.size:
+            nc, fail = int(over[0]), float(drive_err[over[0]]) / tol
+            e, w = e[: 2 * nc + 1], w[: 2 * nc + 1]
+        self.drive_err, self.step_in = drive_err[:nc], step_in[:nc]
+        if self.real:
+            e, w = e.real, w.real
+        self.coef[: 2 * nc + 1, 0, 1] = self.rot_in * w
+        self.coef[: 2 * nc + 1, 1, 0] = self.rot_out * w.conj()
+        self.ghost = self.ghost_scale * e
+        return nc, fail
+
+    def rk4(self, h: float, nc: int, steps, fail):
+        """``nc`` RK4 steps of ``h`` from y, undone from the first whose estimate
+        exceeds what the drives leave of ``steps.tol``, or ``steps.energy_tol``.
+        A stage is one cumulative sum, one 2x3 product and one ``vdot`` for
+        sum|P|^2; the next stage's state is y + c k.  A step's first stage also
+        gives the previous step's estimate (h/6)|k4 - k1|, and one more first
+        stage at the chunk's end the last one's.  Returns the steps kept, the
+        error ratio for the next step (the failed step's, else ``fail``, else the
+        chunk's largest) and the kept steps' estimates."""
+        dz, fm, st, k, flat, y = self.dz, self.fm, self.st, self.k, self.flat, self.y
+        y_real, ghost, coef, drive_err = self.y_real, self.ghost, self.coef, self.drive_err
+        tails, sums, errs, energy_errs = self.tails, self.sums, self.errs, self.energy_errs
+        k_real = flat[: 8 * fm].reshape(4, 2 * fm)
+        # stage s > 0 starts from y + c_s k[s - 1], c = h/2, h/2, h, and reads
+        # the drive at half-step point 2j + 1, 2j + 1, 2j + 2 of step j
+        stages = [
+            (s, k_real[s - 1], flat[(8 + 3 * s) * fm: (10 + 3 * s) * fm], c, point, st[s, 0],
+             st[s, 2], st[s], k[s], st[s, 0, 1:])
+            for s, c, point in zip((1, 2, 3), (0.5 * h, 0.5 * h, h), (1, 1, 2))
+        ]
+        p_row, c_row, psc, k1, p_cells = st[0, 0], st[0, 2], st[0], k[0], st[0, 0, 1:]
+        # k4 - k1 from the P row's first cell on: the S ghosts of the two are
+        # equal (the drive and the ghost at the same time), the P ghosts not
+        gw = fm // st.shape[2]
+        k4_cells, k1_cells = k_real[3, gw:], k_real[0, gw:]
+        diff, acc_real = np.empty(2 * fm - gw), np.empty(2 * fm)
+        tail_view = st[:, 2, -1]
+        limits = ((steps.tol - drive_err) * (6.0 / h)) ** 2 / dz
+        # the embedded estimates of the leaked and decayed energies: (h/6)
+        # times the change of their rates from stage 4 to the next step's stage 1
+        leak_w, dec_w = (h / 6.0) * abs(self.out_scale) ** 2, (h / 6.0) * self.dec_rate
+        self.weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+        dot, vdot, accumulate = np.dot, np.vdot, np.add.accumulate
+        add, multiply, subtract = np.add, np.multiply, np.subtract
+        self.saved[:] = y_real
+        kept = nc
+        for j in range(nc + 1):
+            p_row[0] = ghost[2 * j]
+            accumulate(p_row, out=c_row)
+            dot(coef[2 * j], psc, out=k1)
+            sums[j, 0] = vdot(p_cells, p_cells)
+            if j:
+                subtract(k4_cells, k1_cells, out=diff)
+                errs[j - 1] = vdot(diff, diff)
+                energy_errs[j - 1] = (
+                    leak_w * abs(abs(tails[j - 1, 3]) ** 2 - abs(tail_view[0]) ** 2)
+                    + dec_w * abs(sums[j - 1, 3].real - sums[j, 0].real)
+                )
+                if errs[j - 1] > limits[j - 1] or energy_errs[j - 1] > steps.energy_tol:
+                    y_real -= acc_real
+                    kept = j - 1
+                    fail = max(((h / 6.0) * math.sqrt(dz * errs[kept]) + drive_err[kept])
+                               / steps.tol, energy_errs[kept] / steps.energy_tol)
+                    break
+            if j == nc:
+                tails[j, 0] = tail_view[0]
+                break
+            for s, k_prev, state, c, point, s_p_row, s_c_row, s_psc, ks, s_p_cells in stages:
+                multiply(k_prev, c, out=state)
+                add(state, y_real, out=state)
+                i = 2 * j + point
+                s_p_row[0] = ghost[i]
+                accumulate(s_p_row, out=s_c_row)
+                dot(coef[i], s_psc, out=ks)
+                sums[j, s] = vdot(s_p_cells, s_p_cells)
+            tails[j] = tail_view
+            dot(self.weights, k_real, out=acc_real)
+            y_real += acc_real
+            # the ghost S gains i conj(omega) g h per step; keep it bounded
+            y[1, 0] = 0.0
+        step_err = (h / 6.0) * np.sqrt(dz * errs[:kept]) + drive_err[:kept]
+        if fail is None:
+            fail = max(float(step_err.max()) / steps.tol,
+                       float(energy_errs[:kept].max()) / steps.energy_tol)
+        return kept, fail, step_err
+
+    def energies(self, kept: int):
+        """The input, leaked and decayed energies of the first ``kept`` steps."""
+        return (float(self.step_in[:kept].sum()),
+                abs(self.out_scale) ** 2 * float(np.sum(np.abs(self.tails[:kept]) ** 2
+                                                        @ self.weights)),
+                self.dec_rate * float(np.sum(self.sums[:kept].real @ self.weights)))
+
+    def output(self, dest, tau, t: float, h: float, kept: int, nc: int) -> None:
+        """Write the exit field at ``tau`` into ``dest``: the input plus
+        i sqrt(d) dz F, F = sum(P).  F is a stage's tail minus its ghost, and
+        stage 2 starts from y + (h/2) k1, so its F minus stage 1's is (h/2) F'.
+        """
+        f = self.tails[: kept + 1, 0] - self.ghost[: 2 * kept + 1: 2]
+        df = np.empty(kept + 1, dtype=f.dtype)
+        r = min(kept + 1, nc)  # the steps whose second stage ran
+        df[:r] = (2.0 / h) * (self.tails[:r, 1] - self.ghost[1: 2 * r: 2] - f[:r])
+        if r == kept:
+            df[kept] = self.k[0, 0, 1:].sum()
+        x = (tau - t) / h
+        j = np.minimum(x.astype(np.int64), kept - 1)
+        _, f_tau = _hermite_panel(f[j], df[j], f[j + 1], df[j + 1], h, x - j)
+        dest[:] = self.out_scale * f_tau
+        if self.e_of is not None:
+            dest += self.e_of(tau)
 
 
 def _ring_down(integ: _Integrator, p, s, t_start: float, steps):
@@ -563,7 +574,7 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, steps):
 
 def _swap_finish(integ: _Integrator, p, s, t_end: float, steps):
     """The ideal instantaneous swap pulse, :func:`pi_pulse`."""
-    e = integ.field_profile(p, 0.0)[0]
+    e = integ.field_profile(p, 0.0)
     state = pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
     return state.P, state.S, 0.0, 0.0, 0.0
 
@@ -590,7 +601,7 @@ def _simulate(
     """
     if n_zeta < 64:
         raise ValueError("n_zeta must be at least 64")
-    out_grid = _output_grid(params, window, ctrl, input_mode, dtau)
+    out_grid = _output_grid(params, window, ctrl, input_mode, dtau, n_zeta)
     integ = _Integrator(params, n_zeta)
     p0 = np.zeros(n_zeta, dtype=complex)
     s0 = p0 if s_init is None else resample_spinwave(s_init, integ.grid).samples
@@ -635,7 +646,7 @@ def _simulate(
             residual_fraction=(stored + residual_p) / scale,
         )
     state = EnsembleState(
-        grid=integ.grid, E=integ.field_profile(p, 0.0)[0], P=p, S=s,
+        grid=integ.grid, E=integ.field_profile(p, 0.0), P=p, S=s,
         tau=out_grid.t_end + ring_time,
     )
     diagnostics = AuditReport(
@@ -744,7 +755,7 @@ def apply_finite_pi_pulse(
     p, s, _, _, leak, dec, _, _ = integ.march(
         state.P, state.S, window, None, ctrl, _Uniform(duration / _PI_PULSE_STEPS)
     )
-    new = replace(state, E=integ.field_profile(p, 0.0)[0], P=p, S=s, tau=window[1])
+    new = replace(state, E=integ.field_profile(p, 0.0), P=p, S=s, tau=window[1])
     return new, leak, dec
 
 

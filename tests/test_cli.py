@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -304,6 +305,16 @@ class TestExitCodes:
         assert main(["iterate", *flags, "--out", str(out)]) == 1
         assert f"'{key}' must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_over_the_work_budget_is_two(self, tmp_path, capsys):
+        # d = 1e6 at T = 20: 7.0e6 steps at the medium's bound on 256 cells,
+        # 1.8e9 cell-steps; refused up front, before any file is written
+        out = tmp_path / "x"
+        start = time.perf_counter()
+        assert main(["simulate", "--d", "1e6", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "1.79e+09 cell-steps exceed the budget of 1e+08" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
 
     def test_under_resolved_grid_is_two(self, tmp_path):
         cfg = tmp_path / "n.cfg"

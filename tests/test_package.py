@@ -158,6 +158,32 @@ def test_layers_import_only_earlier_layers_at_the_top():
     assert late == []
 
 
+def _long_functions(source: str, limit: int) -> list[str]:
+    """``name:line`` of each function in ``source``, nested ones too, over ``limit`` lines."""
+    return [f"{node.name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.end_lineno - node.lineno + 1 > limit]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f():\n    return 1", []),
+    ("def f():\n    x = 1\n    return x", ["f:1"]),
+    ("class C:\n    def m(self):\n        x = 1\n        return x", ["m:2"]),
+    ("async def f():\n    def g():\n        pass\n    return g", ["f:1"]),
+])
+def test_long_function_detector(source, found):
+    assert _long_functions(source, 2) == found
+
+
+def test_no_function_is_over_100_lines():
+    # a function that long holds several concerns; its parts are what a
+    # timing, a batched variant or a rerun needs to call alone
+    src = Path(photonmem.__file__).resolve().parent
+    long = [f"{p.name}:{name}" for p in sorted(src.glob("*.py"))
+            for name in _long_functions(p.read_text(encoding="utf-8"), 100)]
+    assert long == []
+
+
 def test_declared_numpy_floor_has_trapezoid():
     # core calls np.trapezoid, which numpy has only from 2.0
     tomllib = pytest.importorskip("tomllib")

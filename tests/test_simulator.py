@@ -298,8 +298,6 @@ class TestStepController:
         # the chunk is redone from its saved start at the policy's next step,
         # so the run equals one that took that step from the start
         class FailFirst:
-            adaptive = True
-
             def __init__(self, h0, h1):
                 self.h, self.h1, self.tol, self.energy_tol = h0, h1, 1e-300, 1e-300
 
@@ -352,6 +350,20 @@ class TestStepController:
                              n_zeta=64)
         # the chunk that would pass the budget is refused before it runs
         assert tried[-1] <= 450
+
+    def test_work_budget_refuses_a_run_before_it_allocates(self, monkeypatch):
+        # T = 20 at d = 10: 400 steps at the medium's bound, or 200 at an
+        # explicit dtau of 0.1, each on 64 cells; a run over the budget raises
+        # before the integrator is built
+        inp = make_reference_input(20.0, TimeGrid.linspace(0.0, 20.0, 101))
+        params = MediumParams(d=10.0)
+        monkeypatch.setattr(simulator, "WORK_BUDGET", 25_599)
+        monkeypatch.setattr(simulator, "_Integrator", None)
+        with pytest.raises(InstabilityError, match=r"predicted 2\.56e\+04 cell-steps exceed "
+                                                   r"the budget of 2\.56e\+04"):
+            simulate_fast_storage(inp, params, n_zeta=64)
+        with pytest.raises(TypeError):  # under the budget, the run reaches the integrator
+            simulate_fast_storage(inp, params, n_zeta=64, dtau=0.1)
 
     def test_non_finite_reports_true_tau(self):
         integ = _Integrator(MediumParams(d=5.0), 64)
