@@ -175,29 +175,28 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     fmt = ",".join(["%.17g"] * len(columns))
     rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     lines = [",".join(header), *(fmt % row for row in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _write_text(path: Path, text: str):
+    """Write one output file, making its directory: a run that fails first leaves none."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise PhotonMemError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+        raise PhotonMemError(f"cannot create output directory {path.parent}: {exc}") from exc
+    path.write_text(text, encoding="utf-8")
 
 
 def cmd_optimal_spinwave(cfg: RunConfig) -> tuple:
     from .kernel import optimal_spin_wave
 
     files = cfg.depth_files("spinwave")
-    out = _outdir(cfg)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
     results = []
     for d, name in files:
         mode, eta = optimal_spin_wave(d, grid)
-        _write_csv(out / name, ["zeta", "S"], [grid.nodes, mode.samples.real])
-        # a dense solve; the key stays so that readers of the summary keep working
+        _write_csv(Path(cfg.out) / name, ["zeta", "S"], [grid.nodes, mode.samples.real])
+        # a direct solve; the key stays so that readers of the summary keep working
         results.append({"d": d, "eta_r_max": eta, "iterations": 0})
     return {"d": cfg.d_list()}, results, ()
 
@@ -206,7 +205,6 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
     from .adiabatic import optimal_storage_control
 
     files = cfg.depth_files("control")
-    out = _outdir(cfg)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
     input_mode = cfg.reference_input()
     results = []
@@ -216,7 +214,7 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
         om = res.control.samples
         disp = om * math.sqrt(cfg.input_T / d)  # control in sqrt(d/T) display units
         _write_csv(
-            out / name,
+            Path(cfg.out) / name,
             ["tau", "re_omega", "im_omega", "re_omega_display", "im_omega_display"],
             [input_mode.grid.times, om.real, om.imag, disp.real, disp.imag],
         )
@@ -232,14 +230,15 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
 def _curve_point(task: tuple) -> dict:
     """One depth of the efficiency sweep; must stay picklable for --jobs."""
     d, delta, gauss_nodes, n_zeta, input_T, input_n = task
-    from .kernel import _kernel_eigh, retrieval_efficiency
+    from .kernel import _kernel_factor, _top_eigenvalue, retrieval_efficiency
     from .optimizer import _forward_bound
     from .simulator import simulate_storage
 
-    # one eigensolve gives eta_max (the top eigenvalue) and the forward bound
-    vals, vecs, _ = _kernel_eigh(d, SpaceGrid.gauss_legendre(gauss_nodes))
-    eta_back = float(vals[-1]) ** 2
-    eta_forw = _forward_bound(vals, vecs)
+    # one factor of the kernel gives eta_max (its top eigenvalue) and the forward bound
+    grid = SpaceGrid.gauss_legendre(gauss_nodes)
+    f, _ = _kernel_factor(d, grid)
+    eta_back = _top_eigenvalue(f @ f.T, d, grid) ** 2
+    eta_forw = _forward_bound(f)
     input_mode = RunConfig({"input_T": input_T, "input_n": input_n}).reference_input()
     omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
     ctrl = ControlField(
@@ -292,7 +291,6 @@ def _worker_pool(jobs: int):
 
 
 def cmd_curves(cfg: RunConfig) -> tuple:
-    out = _outdir(cfg)
     ds = np.geomspace(cfg.d_min, cfg.d_max, cfg.d_points)
     tasks = [
         (float(d), cfg.delta, cfg.gauss_nodes, cfg.n_zeta, cfg.input_T, cfg.input_n)
@@ -307,7 +305,7 @@ def cmd_curves(cfg: RunConfig) -> tuple:
     for p in failed:
         print(f"warning: d={p['d']:g} failed: {p['error']}", file=sys.stderr)
     _write_csv(
-        out / "curves.csv",
+        Path(cfg.out) / "curves.csv",
         ["d", "eta_back", "eta_forw", "eta_square"],
         [np.array([p[k] for p in points]) for k in ("d", "eta_back", "eta_forw", "eta_square")],
     )
@@ -350,12 +348,11 @@ def _write_mode_csv(path: Path, mode: FieldMode):
 def cmd_simulate(cfg: RunConfig) -> tuple:
     from .simulator import energy_audit, simulate_retrieval, simulate_storage
 
-    out = _outdir(cfg)
     params = MediumParams(d=cfg.depth(), delta=cfg.delta)
     input_mode = cfg.reference_input()
     ctrl = _parse_piecewise_control(cfg.control, input_mode.grid, "control")
     run = simulate_storage(input_mode, ctrl, params, n_zeta=cfg.n_zeta)
-    _write_mode_csv(out / "output_mode.csv", run.output_mode)
+    _write_mode_csv(Path(cfg.out) / "output_mode.csv", run.output_mode)
     results = {
         "storage": {
             "eta_storage": run.breakdown.eta_storage,
@@ -371,7 +368,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple:
         rctrl = _parse_piecewise_control(rspec, input_mode.grid, "retrieval_control")
         rrun = simulate_retrieval(stored, rctrl, params, direction=cfg.retrieve,
                                   n_zeta=cfg.n_zeta)
-        _write_mode_csv(out / "retrieved_mode.csv", rrun.output_mode)
+        _write_mode_csv(Path(cfg.out) / "retrieved_mode.csv", rrun.output_mode)
         results["retrieval"] = {
             "direction": cfg.retrieve,
             "eta_retrieval": rrun.breakdown.eta_retrieval,
@@ -387,7 +384,6 @@ def cmd_simulate(cfg: RunConfig) -> tuple:
 def cmd_iterate(cfg: RunConfig) -> tuple:
     from .optimizer import completing_control, iterate_retrieval
 
-    out = _outdir(cfg)
     d = cfg.depth()
     params = MediumParams(d=d, delta=cfg.delta)
     grid = SpaceGrid.gauss_legendre(cfg.gauss_nodes)
@@ -404,7 +400,7 @@ def cmd_iterate(cfg: RunConfig) -> tuple:
     ctrl = completing_control(params, omega=cfg.omega if cfg.omega > 0 else None)
     trace = iterate_retrieval(d, ctrl, init, tol=cfg.tol, max_iter=cfg.max_iter, delta=cfg.delta)
     _write_csv(
-        out / "iterate_mode.csv",
+        Path(cfg.out) / "iterate_mode.csv",
         ["zeta", "re_S", "im_S"],
         [grid.nodes, trace.final_mode.samples.real, trace.final_mode.samples.imag],
     )
@@ -480,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
     path = Path(cfg.out) / f"{args.command.replace('-', '_')}_summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 2 if failed else 0
 
 

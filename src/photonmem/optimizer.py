@@ -40,7 +40,7 @@ from .core import (
     resample_spinwave,
     time_reverse,
 )
-from .kernel import _kernel_eigh, retrieval_efficiency
+from .kernel import _kernel_factor, _top_eigenvalue, retrieval_efficiency
 from .simulator import simulate_retrieval, simulate_storage
 
 __all__ = [
@@ -200,19 +200,20 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
     direction is set by the kernel, and forward retrieval applies the kernel
     without the spatial flip, so the composite maximum is the top eigenvalue
     of K^(1/2) F K F K^(1/2) = M^2 with M = K^(1/2) F K^(1/2) (F = spatial
-    flip).  With K = V L V^T and r = V sqrt(L), M is similar to r^T F r, so
-    the bound is the larger square of that matrix's extreme eigenvalues.
+    flip).  For any factor K = r r^T, M has the nonzero spectrum of r^T F r,
+    so the bound is the larger square of that matrix's extreme eigenvalues.
     Raises :class:`GridError` on an under-resolved grid.
     """
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
-    return _forward_bound(*_kernel_eigh(d, grid)[:2])
+    f, _ = _kernel_factor(d, grid)
+    _top_eigenvalue(f @ f.T, d, grid)  # the grid check
+    return _forward_bound(f)
 
 
-def _forward_bound(vals: np.ndarray, vecs: np.ndarray) -> float:
-    """:func:`forward_max_efficiency` from the kernel's eigendecomposition."""
-    r = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
-    m = np.linalg.eigvalsh(r.T @ r[::-1])
+def _forward_bound(f: np.ndarray) -> float:
+    """:func:`forward_max_efficiency` from the kernel's factor K = f^T f (r = f^T)."""
+    m = np.linalg.eigvalsh(f[:, ::-1] @ f.T)
     return float(max(m[0] ** 2, m[-1] ** 2))
 
 

@@ -316,6 +316,25 @@ class TestExitCodes:
         assert "1.79e+09 cell-steps exceed the budget of 1e+08" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("argv, config", [
+        (["simulate", "--d", "1e6"], ""),
+        (["simulate"], "input_n = 1\n"),
+        (["optimal-spinwave", "--d", "10000"], "gauss_nodes = 50\n"),
+    ], ids=["work-budget", "one-sample", "under-resolved"])
+    def test_refused_run_leaves_no_directory(self, tmp_path, argv, config):
+        # the output directory is made with the first file written
+        cfg = tmp_path / "n.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "x"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_output_directory_that_cannot_be_made_is_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["optimal-spinwave", "--d", "1", "--out", str(blocker / "x")]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
     def test_under_resolved_grid_is_two(self, tmp_path):
         cfg = tmp_path / "n.cfg"
         cfg.write_text("gauss_nodes = 50\n")

@@ -17,9 +17,49 @@ from photonmem import (
     optimal_spin_wave,
     retrieval_efficiency,
 )
-from photonmem.kernel import DEFAULT_NODES, _check_resolved, _sqrt_weight_kernel
+from photonmem import kernel
+from photonmem.kernel import (
+    _FACTOR_TOL,
+    DEFAULT_NODES,
+    _check_resolved,
+    _kernel_factor,
+    _kernel_of_roots,
+)
 
 from conftest import smooth_test_wave
+
+
+def _sqrt_weight_kernel(d: float, grid: SpaceGrid) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(w_i) k(z_i, z_j) sqrt(w_j), the dense Nystrom matrix made symmetric
+    by a similarity transform, and sqrt(w): the oracle for the kernel's factor.
+
+    The kernel is symmetric: it is evaluated on the pairs i <= j and
+    mirrored, so the matrix is exactly symmetric.
+    """
+    n = grid.n
+    su, sw = np.sqrt(1.0 - grid.nodes), np.sqrt(grid.weights)
+    i, j = np.triu_indices(n)
+    upper = sw[i] * _kernel_of_roots(d, su[i], su[j]) * sw[j]
+    out = np.empty(n * n)
+    out[i * n + j] = upper
+    out[j * n + i] = upper
+    return out.reshape(n, n), sw
+
+
+def dense_route(d: float, grid: SpaceGrid) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """(mode, eta_max, eigenvalues, eigenvectors) from a full ``eigh`` of the oracle."""
+    sym, sw = _sqrt_weight_kernel(d, grid)
+    vals, vecs = np.linalg.eigh(sym)
+    mode = vecs[:, -1] / sw
+    return (mode if grid.weights @ mode > 0 else -mode), float(vals[-1]), vals, vecs
+
+
+def resolved(eta: float, d: float, grid: SpaceGrid) -> bool:
+    try:
+        _check_resolved(eta, d, grid)
+    except GridError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +313,7 @@ class TestOptimalSpinWave:
     def test_large_depth_guard_passes_resolved_grids(self, gauss_grid):
         for d in np.geomspace(1e3, 2e4, 7):
             _, eta = optimal_spin_wave(float(d), gauss_grid)
-            sym, _ = _sqrt_weight_kernel(float(d), gauss_grid)
-            assert eta == np.linalg.eigh(sym)[0][-1]
+            assert eta == pytest.approx(dense_route(float(d), gauss_grid)[1], rel=2e-15, abs=0)
             assert (1.0 - eta) * d >= 2.7
 
     @pytest.mark.parametrize("route", [optimal_spin_wave, power_route])
@@ -317,6 +356,78 @@ class TestDenseRouteProperties:
     def test_large_depth_loss_scales_as_one_over_depth(self, d):
         _, eta = optimal_spin_wave(d)
         assert 2.7 <= (1.0 - eta) * d <= 2.9
+
+
+class TestKernelFactor:
+    """The pivoted-Cholesky factor against the dense oracle."""
+
+    @pytest.mark.parametrize("nodes", [100, 200, 400])
+    def test_eta_and_mode_match_the_dense_eigensolve(self, nodes):
+        grid = SpaceGrid.gauss_legendre(nodes)
+        checked = 0
+        for d in np.geomspace(0.1, 2e4, 40):
+            mode, eta, _, _ = dense_route(float(d), grid)
+            if not resolved(eta, float(d), grid):
+                with pytest.raises(GridError):
+                    optimal_spin_wave(float(d), grid)
+                continue
+            s, got = optimal_spin_wave(float(d), grid)
+            assert got == pytest.approx(eta, rel=2e-15, abs=0)
+            assert np.max(np.abs(s.samples - mode)) <= 1e-12 * np.max(np.abs(mode))
+            checked += 1
+        assert checked >= 30
+
+    def test_forward_bound_matches_the_dense_eigensolve(self, gauss_grid):
+        for d in np.geomspace(0.1, 2e4, 40):
+            _, eta, vals, vecs = dense_route(float(d), gauss_grid)
+            if not resolved(eta, float(d), gauss_grid):
+                continue
+            r = vecs * np.sqrt(np.clip(vals, 0.0, None))  # K = r r^T
+            m = np.linalg.eigvalsh(r.T @ r[::-1])
+            want = max(m[0] ** 2, m[-1] ** 2)
+            assert forward_max_efficiency(float(d), gauss_grid) == pytest.approx(
+                want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("grid", [SpaceGrid.gauss_legendre(200),
+                                      SpaceGrid.uniform_midpoint(256)], ids=["gauss", "uniform"])
+    @pytest.mark.parametrize("d", [0.1, 1.0, 10.0, 100.0, 1e3, 1e4])
+    def test_factor_leaves_a_small_positive_remainder(self, grid, d):
+        sym, _ = _sqrt_weight_kernel(d, grid)
+        f, _ = _kernel_factor(d, grid)
+        rem = sym - f.T @ f
+        trace = np.trace(sym)
+        # the remainder is formed in floating point, which adds about one more
+        # 2^-52 trace(B) to its own
+        assert np.trace(rem) <= 2 * _FACTOR_TOL * trace
+        assert np.linalg.eigvalsh(rem)[0] >= -4 * np.finfo(float).eps * trace
+
+    @pytest.mark.parametrize("d", [0.3, 10.0, 300.0, 1e4])
+    def test_efficiency_of_random_waves_within_the_trace_bound(self, gauss_grid, uniform_grid, d):
+        rng = np.random.default_rng(7)
+        for grid in (gauss_grid, uniform_grid):
+            sym, sw = _sqrt_weight_kernel(d, grid)
+            bound = _FACTOR_TOL * np.trace(sym)
+            for _ in range(5):
+                s = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+                v = sw * s
+                want = float(np.real(np.conj(v) @ (sym @ v)))
+                got = retrieval_efficiency(SpinWave(grid=grid, samples=s), d)
+                assert abs(got - want) <= bound * float(np.vdot(v, v).real)
+
+    def test_work_guard(self, gauss_grid, monkeypatch):
+        # the dense matrix took 20,100 i0e pairs on 200 nodes at every depth
+        i0e, seen = kernel.i0e, []
+
+        def counted(x):
+            seen.append(np.size(x))
+            return i0e(x)
+
+        monkeypatch.setattr(kernel, "i0e", counted)
+        for d in (0.3, 1.0, 10.0, 100.0, 300.0):
+            seen.clear()
+            optimal_spin_wave(d, gauss_grid)
+            assert sum(seen) <= 64 * gauss_grid.n + gauss_grid.n
+            assert _kernel_factor(d, gauss_grid)[0].shape[0] <= 64
 
 
 class TestKernelOperator:

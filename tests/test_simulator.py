@@ -576,7 +576,6 @@ class _ReferenceIntegrator:
 class _Scripted:
     """Step policy of a given step per chunk; keeps every step."""
 
-    adaptive = False
     tol = energy_tol = math.inf
 
     def __init__(self, chunk_steps):
