@@ -160,14 +160,18 @@ def _ray_table(sh_max: float, zeta: np.ndarray, params: MediumParams) -> np.ndar
     return _ray_taylor_table(int(sh_max * st_max / _RAY_STEP) + 2, cos_phi * np.conj(denom))
 
 
+def _row_rate(params: MediumParams) -> float:
+    """r = delta / (1 + delta^2): the bracket's row phase is e^{i r h}."""
+    return params.delta / (1.0 + params.delta**2)
+
+
 def _bracket_matrix(
     h: np.ndarray,
     zeta: np.ndarray,
     params: MediumParams,
     table: np.ndarray | None = None,
-    phased: bool = True,
 ) -> np.ndarray:
-    """exp(-(d z + h)/(1+i delta)) * I0(2 sqrt(d z h)/(1+i delta)), stably.
+    """exp(-(d z + h)/(1+i delta)) * I0(2 sqrt(d z h)/(1+i delta)) * e^{-i r h}, stably.
 
     At every detuning, resonance included, the Bessel argument is t e^{-i phi}
     with t = 2 sqrt(d z h) / sqrt(1 + delta^2) and phi = arctan(delta); each
@@ -177,44 +181,34 @@ def _bracket_matrix(
     sqrt(h))^2 - cos(phi) (t - t_k) <= 1/32, so no depth overflows, and
     imaginary part r (d z + h), r = delta / (1 + delta^2), which separates
     into a row phase e^{i r h} and a node phase e^{i r d z}: one real exp per
-    element.  The factor 1 + i tau, tau = fl(r fl(h + d z)) - fl(r h) -
-    fl(r d z), restores to first order the rounding that the split drops; at
-    |delta| = 1000 the phase reaches 1e4 rad and without it the bracket
-    moves by 1e-13 of its maximum.  On resonance r = 0 and both phases are 1.
+    element.  The rows leave the row phase to the caller, so they are smooth
+    in sqrt(h); on resonance r = 0 and both phases are 1.
 
     ``table`` is a :func:`_ray_table` for rows up to at least max sqrt(h),
     so that several calls share one; by default each call builds its own.
-    With ``phased`` false the rows leave out the row phase and, with it, the
-    rounding factor: they are the bracket times e^{-i r h}, smooth in sqrt(h).
     """
     h = np.asarray(h, dtype=float)
     dz = params.d * zeta
     sh, sdz = np.sqrt(h), np.sqrt(dz)
     denom = 1.0 + 1j * params.delta
     cos_phi = 1.0 / abs(denom)
-    rate = params.delta / (1.0 + params.delta**2)
     st = (2.0 * cos_phi) * sdz  # t = sqrt(h) * st
     steps = st * (1.0 / _RAY_STEP)  # t / _RAY_STEP = sqrt(h) * steps
     sh_max = np.max(sh, initial=0.0)
     c = _ray_table(sh_max, zeta, params) if table is None else table
     if np.rint(sh_max * np.max(steps, initial=0.0)) >= c.shape[1]:
         raise ValueError("the ray table does not reach these rows")
-    rdz = rate * dz
-    node_phase = np.exp(1j * rdz)
-    if phased:
-        rh = rate * h
-        row_phase = np.exp(1j * rh)
+    node_phase = np.exp(1j * (_row_rate(params) * dz))
     out = np.empty((h.size, zeta.size), dtype=complex)
     shape = (min(_RAY_BLOCK, h.size), zeta.size)
     # per-block scratch: node index, t - t_k (real, and complex with zero
-    # imaginary part for the Horner step), the phase remainder, a real and a
-    # complex work array
+    # imaginary part for the Horner step), a real and a complex work array
     bufs = (np.empty(shape, dtype=np.intp), np.empty(shape), np.zeros(shape, dtype=complex),
-            np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
+            np.empty(shape), np.empty(shape, dtype=complex))
     for r in range(0, h.size, _RAY_BLOCK):
         rows = slice(r, r + _RAY_BLOCK)
         o = out[rows]
-        k, ds, ds_c, tau, x, w = (b[:len(o)] for b in bufs)
+        k, ds, ds_c, x, w = (b[:len(o)] for b in bufs)
         np.multiply(sh[rows, None], steps, out=ds)
         np.rint(ds, out=x)
         k[...] = x
@@ -232,19 +226,8 @@ def _bracket_matrix(
         ds *= cos_phi
         x -= ds
         np.exp(x, out=x)  # the modulus of the exponential
-        if phased:
-            np.add(h[rows, None], dz, out=tau)
-            tau *= rate
-            tau -= rh[rows, None]
-            tau -= rdz
-            w.real = x
-            np.multiply(x, tau, out=w.imag)
-            o *= w
-        else:
-            o *= x
+        o *= x
         o *= node_phase
-        if phased:
-            o *= row_phase[rows, None]
     return out
 
 
@@ -259,32 +242,20 @@ def _quadrature_weights(grid: SpaceGrid, params: MediumParams) -> np.ndarray:
     return grid.weights / (1.0 + 1j * params.delta)
 
 
-def _emission_matrix(h: np.ndarray, grid: SpaceGrid, params: MediumParams) -> np.ndarray:
-    """Rows k map retrieval-frame spin-wave samples s to q(h_k).
-
-    The bracket quadrature against s(1 - zeta): bracket columns reversed and
-    weighted by :func:`_quadrature_weights`.
-    """
-    kappa = _bracket_matrix(np.atleast_1d(h), grid.nodes, params)
-    return kappa[:, ::-1] * _quadrature_weights(grid, params)
-
-
 def _emission_profile(
     h: np.ndarray,
     s: SpinWave,
     params: MediumParams,
     table: np.ndarray | None = None,
-    phased: bool = True,
 ) -> np.ndarray:
-    """q(h): the bracket integral against s(1 - zeta) on the wave's grid.
+    """q(h) e^{-i r h}, r = delta / (1 + delta^2), on the wave's grid.
 
-    Contracts the bracket with the reversed weighted samples, without
-    forming the weighted matrix of :func:`_emission_matrix`.  ``table`` and
-    ``phased`` pass to :func:`_bracket_matrix`; unphased, the result is
-    q(h) e^{-i r h}, r = delta / (1 + delta^2).
+    q is the bracket integral against s(1 - zeta): the bracket rows of
+    :func:`_bracket_matrix`, to which ``table`` passes, contracted with the
+    reversed weighted samples.
     """
     v = (_quadrature_weights(s.grid, params) * s.samples)[::-1]
-    return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table, phased) @ v
+    return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table) @ v
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +283,9 @@ def _emission_interpolant(
     u_max = math.sqrt(h_max)
     table = _ray_table(u_max, s.grid.nodes, params)
     q_tilde = _chebyshev_interpolant(
-        lambda u: _emission_profile(u * u, s, params, table, phased=False), 0.0, u_max
+        lambda u: _emission_profile(u * u, s, params, table), 0.0, u_max
     )
-    return _EmissionInterpolant(smooth=q_tilde, rate=params.delta / (1.0 + params.delta**2))
+    return _EmissionInterpolant(smooth=q_tilde, rate=_row_rate(params))
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -331,11 +302,16 @@ def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) 
     """Matrix sending retrieval-frame spin-wave samples to output samples.
 
     Row k holds the quadrature of the closed-form emission integral at the
-    k-th control time; reused by the optimizer to iterate composite maps as
-    plain matrix-vector products.
+    k-th control time: the bracket at the reversed nodes, weighted by
+    :func:`_quadrature_weights` and scaled in place by -sqrt(d) omega e^{i r h};
+    reused by the optimizer to iterate composite maps as plain matrix-vector
+    products.
     """
     h = DecayFunction.from_control(ctrl).h
-    return -math.sqrt(params.d) * ctrl.samples[:, None] * _emission_matrix(h, grid, params)
+    m = _bracket_matrix(h, grid.nodes[::-1], params)
+    m *= _quadrature_weights(grid, params)
+    m *= (-math.sqrt(params.d) * ctrl.samples * np.exp(1j * _row_rate(params) * h))[:, None]
+    return m
 
 
 def _storage_from_retrieval(r: np.ndarray, time_grid: TimeGrid, grid: SpaceGrid) -> np.ndarray:
@@ -412,6 +388,16 @@ class ShapingResult:
     n_truncated: int
 
 
+def _running_sums(panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the sum of the panels before it and the sum of those after it.
+
+    Summed from the far end, the second keeps an exponentially small tail to
+    relative accuracy, which the first minus its total would not.
+    """
+    return (np.concatenate([[0.0], np.cumsum(panels)]),
+            np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]]))
+
+
 def _tabulate_energy_curve(q_tilde: _BarycentricInterpolant, d: float):
     """The shaping's energy table on Chebyshev points u in sqrt(h), ascending.
 
@@ -435,9 +421,7 @@ def _tabulate_energy_curve(q_tilde: _BarycentricInterpolant, d: float):
     df = (2.0 * d) * (a2 + 2.0 * u * (q.real * dq.real + q.imag * dq.imag))
     w = np.diff(u)
     panels = np.maximum(0.5 * w * (f[:-1] + f[1:]) + w * w / 12.0 * (df[:-1] - df[1:]), 0.0)
-    g = np.concatenate([[0.0], np.cumsum(panels)])
-    tail = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
-    return u, f, df, g, tail
+    return (u, f, df, *_running_sums(panels))
 
 
 def shape_retrieval_control(
@@ -480,9 +464,7 @@ def _shape_retrieval(
 
     tgt_power = np.abs(target.samples) ** 2
     dt = target.grid.dtau
-    panels = 0.5 * dt * (tgt_power[1:] + tgt_power[:-1])
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    tail_cum = np.concatenate([np.cumsum(panels[::-1])[::-1], [0.0]])
+    cum, tail_cum = _running_sums(0.5 * dt * (tgt_power[1:] + tgt_power[:-1]))
     total = cum[-1]
     if total <= 0:
         raise ShapingError("target mode carries no energy")

@@ -230,15 +230,12 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
 def _curve_point(task: tuple) -> dict:
     """One depth of the efficiency sweep; must stay picklable for --jobs."""
     d, delta, gauss_nodes, n_zeta, input_T, input_n = task
-    from .kernel import _kernel_factor, _top_eigenvalue, retrieval_efficiency
-    from .optimizer import _forward_bound
+    from .kernel import retrieval_efficiency
+    from .optimizer import _efficiency_bounds
     from .simulator import simulate_storage
 
-    # one factor of the kernel gives eta_max (its top eigenvalue) and the forward bound
-    grid = SpaceGrid.gauss_legendre(gauss_nodes)
-    f, _ = _kernel_factor(d, grid)
-    eta_back = _top_eigenvalue(f @ f.T, d, grid) ** 2
-    eta_forw = _forward_bound(f)
+    eta_max, eta_forw = _efficiency_bounds(d, SpaceGrid.gauss_legendre(gauss_nodes))
+    eta_back = eta_max**2
     input_mode = RunConfig({"input_T": input_T, "input_n": input_n}).reference_input()
     omega_sq = math.sqrt(d / input_T)  # group-velocity matching: v_g T = L
     ctrl = ControlField(

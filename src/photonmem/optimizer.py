@@ -206,15 +206,15 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
     """
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
+    return _efficiency_bounds(d, grid)[1]
+
+
+def _efficiency_bounds(d: float, grid: SpaceGrid) -> tuple[float, float]:
+    """eta_max and :func:`forward_max_efficiency` from one factor K = f^T f (r = f^T)."""
     f, _ = _kernel_factor(d, grid)
-    _top_eigenvalue(f @ f.T, d, grid)  # the grid check
-    return _forward_bound(f)
-
-
-def _forward_bound(f: np.ndarray) -> float:
-    """:func:`forward_max_efficiency` from the kernel's factor K = f^T f (r = f^T)."""
+    eta_max = _top_eigenvalue(f @ f.T, d, grid)
     m = np.linalg.eigvalsh(f[:, ::-1] @ f.T)
-    return float(max(m[0] ** 2, m[-1] ** 2))
+    return eta_max, float(max(m[0] ** 2, m[-1] ** 2))
 
 
 def optimize_storage_retrieval(

@@ -15,6 +15,7 @@ from photonmem import (
     SpinWave,
     TimeGrid,
     adiabatic,
+    completing_control,
     flip,
     mode_norm2,
     optimal_spin_wave,
@@ -30,10 +31,10 @@ from photonmem.adiabatic import (
     DecayFunction,
     _bracket_matrix,
     _emission_interpolant,
-    _emission_matrix,
     _emission_profile,
     _tabulate_energy_curve,
     default_h_max,
+    retrieval_matrix,
     storage_matrix,
 )
 from photonmem.core import _trapezoid_weights
@@ -67,19 +68,31 @@ def shaping_rows(params):
     return np.linspace(0.0, np.sqrt(default_h_max(params)), 4001) ** 2
 
 
+def row_rate(params):
+    """r = delta / (1 + delta^2): the bracket's row phase is e^{i r h}."""
+    return params.delta / (1.0 + params.delta**2)
+
+
 def ive_bracket(h, zeta, params):
-    """The complex bracket through one complex ive call per element."""
+    """The complex bracket without its row phase e^{i r h}, through one
+    complex ive call per element."""
     dz = params.d * zeta
     denom = 1.0 + 1j * params.delta
     z_arg = 2.0 * np.sqrt(np.outer(h, dz)) / denom
-    expo = -(dz[None, :] + h[:, None]) / denom + z_arg.real
-    return ive(0, z_arg) * np.exp(expo)
+    expo = -(dz[None, :] + h[:, None]) / (1.0 + params.delta**2) + z_arg.real
+    return ive(0, z_arg) * np.exp(expo) * np.exp(1j * row_rate(params) * dz)
+
+
+def phased_profile(h, s, params):
+    """q(h): :func:`_emission_profile` times its row phase."""
+    return np.exp(1j * row_rate(params) * h) * _emission_profile(h, s, params)
 
 
 def direct_storage_matrix(ctrl, params, grid):
     """The adjoint integral written out: bracket at the power still to come, h(T) - h(tau)."""
     hf = DecayFunction.from_control(ctrl)
-    kappa = _bracket_matrix(hf.total - hf.h, grid.nodes, params)
+    h = hf.total - hf.h
+    kappa = _bracket_matrix(h, grid.nodes, params) * np.exp(1j * row_rate(params) * h)[:, None]
     row = _trapezoid_weights(ctrl.grid) * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
     return -np.sqrt(params.d) * (kappa.T * row[None, :])
 
@@ -92,6 +105,13 @@ def mpmath_bracket(h, zeta, params):
         denom = mpmath.mpc(1.0, params.delta)
         bessel = mpmath.besseli(0, 2 * mpmath.sqrt(x * hh) / denom)
         return complex(mpmath.exp(-(x + hh) / denom) * bessel)
+
+
+def mpmath_row_phase(h, params):
+    """e^{i r h}, r = delta / (1 + delta^2), at 30 digits."""
+    with mpmath.workdps(30):
+        delta = mpmath.mpf(params.delta)
+        return complex(mpmath.expj(delta / (1 + delta**2) * mpmath.mpf(h)))
 
 
 class TestDecayFunction:
@@ -139,7 +159,8 @@ class TestBracket:
         cols = np.union1d(np.linspace(0, zeta.size - 1, 5).astype(int), rng.integers(0, zeta.size, 3))
         scale = np.max(np.abs(got))
         err = max(
-            abs(got[i, j] - mpmath_bracket(h[i], zeta[j], params)) for i in rows for j in cols
+            abs(got[i, j] * mpmath_row_phase(h[i], params) - mpmath_bracket(h[i], zeta[j], params))
+            for i in rows for j in cols
         )
         assert err <= BRACKET_TOL * scale
 
@@ -226,16 +247,19 @@ class TestBracket:
         shaped = shape_retrieval_control(s, time_reverse(reference_input), params)
         scale = np.max(np.abs(_emission_profile(h_tab, s, params)))
         for h in (h_tab, shaped.h.h):
-            assert np.max(np.abs(q(h) - _emission_profile(h, s, params))) <= INTERP_TOL * scale
+            assert np.max(np.abs(q(h) - phased_profile(h, s, params))) <= INTERP_TOL * scale
 
     @pytest.mark.parametrize("d, delta", STORAGE_CASES)
     def test_emission_profile_matches_emission_matrix(self, d, delta, gauss_grid):
+        # the emitted field -sqrt(d) omega q(h), contracted row by row, against
+        # the retrieval (emission) matrix applied to the samples
         params = MediumParams(d=d, delta=delta)
         s = SpinWave(grid=gauss_grid, samples=smooth_test_wave(gauss_grid, 1) * (1.0 - 0.7j))
-        h = shaping_rows(params)
-        q = _emission_profile(h, s, params)
-        ref = _emission_matrix(h, gauss_grid, params) @ s.samples
-        assert np.max(np.abs(q - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ctrl = completing_control(params)
+        h = DecayFunction.from_control(ctrl).h
+        out = -np.sqrt(d) * ctrl.samples * phased_profile(h, s, params)
+        ref = retrieval_matrix(ctrl, params, gauss_grid) @ s.samples
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestRetrieveAdiabatic:
@@ -414,7 +438,7 @@ class TestShaping:
         # the field emitted there carries the target's phase even where the
         # target is tiny; an arg q interpolated from a table misses this at
         # large |delta|
-        q = _emission_profile(res.h.h, s, params)
+        q = phased_profile(res.h.h, s, params)
         emitted = -res.control.samples * q * np.conj(target.samples)
         slip = np.angle(emitted[emitted != 0])
         assert np.max(np.abs(slip)) < 1e-9

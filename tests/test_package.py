@@ -184,6 +184,49 @@ def test_no_function_is_over_100_lines():
     assert long == []
 
 
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level private name in ``sources`` (module -> code)
+    that no code reads outside its own definition; dunder names are left out."""
+    trees = {module: ast.parse(code) for module, code in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names, inside = [node.name], {id(n) for n in ast.walk(node)}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                inside = set()
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and not any(read == name and id(n) not in inside for n, read in reads)]
+    return unread
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({"a": "def _f():\n    return 1\n\ndef g():\n    return _f()"}, []),
+    ({"a": "def _f(n):\n    return _f(n - 1)"}, ["a:_f"]),
+    ({"a": "_X = 1\n_Y = _X", "b": "import a\nz = a._Y"}, []),
+    ({"a": "_X = 1\n__all__ = []", "b": '"""Reads ``_X``."""'}, ["a:_X"]),
+    ({"a": "class _C:\n    pass", "b": "from a import _C"}, ["a:_C"]),
+])
+def test_unreferenced_private_name_detector(sources, found):
+    assert _unreferenced_private_names(sources) == found
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only tests call belongs in the tests, not the package
+    src = Path(photonmem.__file__).resolve().parent
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    assert _unreferenced_private_names(sources) == []
+
+
 def test_declared_numpy_floor_has_trapezoid():
     # core calls np.trapezoid, which numpy has only from 2.0
     tomllib = pytest.importorskip("tomllib")
