@@ -314,25 +314,27 @@ def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) 
     return m
 
 
-def _storage_from_retrieval(r: np.ndarray, time_grid: TimeGrid, grid: SpaceGrid) -> np.ndarray:
-    """Storage matrix of a control from the retrieval matrix ``r`` of its time reverse.
+def _adjoint(r: np.ndarray, e: np.ndarray, time_grid: TimeGrid, grid: SpaceGrid) -> np.ndarray:
+    """(tw e) @ r / w: the adjoint of the retrieval matrix ``r`` in the trapezoid
+    time weights tw and the space weights w, applied to output samples ``e``.
 
-    Storage is retrieval run backwards in time and space: element (j, k) is
-    r[N-1-k, n-1-j] * tw_k / w_j, with tw the trapezoid time weights and w
-    the space weights of a grid symmetric under zeta -> 1 - zeta.
+    A control stores x into _adjoint(r, x[::-1])[::-1], with r the retrieval
+    matrix of its time reverse; tw e is a fresh contiguous vector, as BLAS needs.
     """
-    return r[::-1, ::-1].T * (_trapezoid_weights(time_grid)[None, :] / grid.weights[:, None])
+    return (_trapezoid_weights(time_grid) * e) @ r / grid.weights
 
 
 def storage_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
     """Matrix sending input-mode samples to stored spin-wave samples.
 
-    Taken from the retrieval matrix of the time-reversed control by the
-    time-reversal identity of :func:`_storage_from_retrieval`; the grid
-    must be symmetric under zeta -> 1 - zeta.
+    :func:`_adjoint` in matrix form: the retrieval matrix of the time-reversed
+    control, scaled in place by tw (rows) and 1/w (columns), transposed and
+    reversed in both axes; the grid must be symmetric under zeta -> 1 - zeta.
     """
     r = retrieval_matrix(time_reverse(ctrl), params, grid)
-    return _storage_from_retrieval(r, ctrl.grid, grid)
+    r *= _trapezoid_weights(ctrl.grid)[:, None]
+    r /= grid.weights
+    return r.T[::-1, ::-1]
 
 
 def retrieve_adiabatic(s: SpinWave, ctrl: ControlField, params: MediumParams) -> FieldMode:
@@ -356,17 +358,16 @@ def store_adiabatic(
 ) -> SpinWave:
     """Closed-form spin wave stored from an input mode (storage frame).
 
-    This is the time reverse of :func:`retrieve_adiabatic`: the stored wave
-    is the adjoint integral of the input against the same bracket kernel,
-    taken from the retrieval matrix of the time-reversed control.  ``grid``
-    must be symmetric under zeta -> 1 - zeta.
+    This is the time reverse of :func:`retrieve_adiabatic`, by :func:`_adjoint`;
+    ``grid`` must be symmetric under zeta -> 1 - zeta.
     """
     if ctrl.grid != input_mode.grid:
         raise ValueError("control and input must share a time grid")
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
     _warn_short_window(input_mode.grid.duration, params.d, "store_adiabatic")
-    samples = storage_matrix(ctrl, params, grid) @ input_mode.samples
+    r = retrieval_matrix(time_reverse(ctrl), params, grid)
+    samples = _adjoint(r, input_mode.samples[::-1], ctrl.grid, grid)[::-1]
     return SpinWave(grid=grid, samples=samples)
 
 

@@ -230,8 +230,7 @@ def cmd_shape_controls(cfg: RunConfig) -> tuple:
 def _curve_point(task: tuple) -> dict:
     """One depth of the efficiency sweep; must stay picklable for --jobs."""
     d, delta, gauss_nodes, n_zeta, input_T, input_n = task
-    from .kernel import retrieval_efficiency
-    from .optimizer import _efficiency_bounds
+    from .kernel import _efficiency_bounds, retrieval_efficiency
     from .simulator import simulate_storage
 
     eta_max, eta_forw = _efficiency_bounds(d, SpaceGrid.gauss_legendre(gauss_nodes))

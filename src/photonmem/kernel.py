@@ -110,6 +110,14 @@ def _top_eigenvalue(gram: np.ndarray, d: float, grid: SpaceGrid) -> float:
     return eta
 
 
+def _efficiency_bounds(d: float, grid: SpaceGrid) -> tuple[float, float]:
+    """eta_max and the forward composite bound from one factor K = f^T f (r = f^T)."""
+    f, _ = _kernel_factor(d, grid)
+    eta_max = _top_eigenvalue(f @ f.T, d, grid)
+    m = np.linalg.eigvalsh(f[:, ::-1] @ f.T)
+    return eta_max, float(max(m[0] ** 2, m[-1] ** 2))
+
+
 def retrieval_efficiency(s: SpinWave, d: float) -> float:
     """Retrieval efficiency of a spin wave expressed in the retrieval frame.
 

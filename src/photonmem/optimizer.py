@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import (
-    _storage_from_retrieval,
+    _adjoint,
     default_h_max,
     optimal_storage_control,
     retrieval_matrix,
@@ -40,7 +40,7 @@ from .core import (
     resample_spinwave,
     time_reverse,
 )
-from .kernel import _kernel_factor, _top_eigenvalue, retrieval_efficiency
+from .kernel import _efficiency_bounds, retrieval_efficiency
 from .simulator import simulate_retrieval, simulate_storage
 
 __all__ = [
@@ -151,8 +151,6 @@ def iterate_retrieval(
     if method == "adiabatic":
         sigma, _ = normalized_spinwave(init)
         fwd = retrieval_matrix(ctrl, params, sigma.grid)
-        # storing with the time-reversed control: the adjoint of fwd
-        rev = _storage_from_retrieval(fwd, ctrl.grid, sigma.grid)
         tw = _trapezoid_weights(ctrl.grid)
 
         def run(samples):
@@ -160,8 +158,8 @@ def iterate_retrieval(
             return float(tw @ np.abs(e) ** 2), e
 
         def reverse(e, eta):
-            stored = rev @ (np.conj(e[::-1]) / math.sqrt(eta))
-            return stored[::-1]  # flip back into the retrieval frame
+            # store time_reverse(e), flip into the retrieval frame: the reversals cancel
+            return _adjoint(fwd, np.conj(e), ctrl.grid, sigma.grid) / math.sqrt(eta)
 
     else:
         sigma, _ = normalized_spinwave(
@@ -209,14 +207,6 @@ def forward_max_efficiency(d: float, grid: SpaceGrid | None = None) -> float:
     return _efficiency_bounds(d, grid)[1]
 
 
-def _efficiency_bounds(d: float, grid: SpaceGrid) -> tuple[float, float]:
-    """eta_max and :func:`forward_max_efficiency` from one factor K = f^T f (r = f^T)."""
-    f, _ = _kernel_factor(d, grid)
-    eta_max = _top_eigenvalue(f @ f.T, d, grid)
-    m = np.linalg.eigvalsh(f[:, ::-1] @ f.T)
-    return eta_max, float(max(m[0] ** 2, m[-1] ** 2))
-
-
 def optimize_storage_retrieval(
     d: float,
     input_mode: FieldMode,
@@ -257,8 +247,7 @@ def optimize_storage_retrieval(
         return controls, trace
 
     ctrl = completing_control(params)  # real and constant: its own time reverse
-    fwd_retr = retrieval_matrix(ctrl, params, grid)
-    fwd_store = _storage_from_retrieval(fwd_retr, ctrl.grid, grid)
+    fwd = retrieval_matrix(ctrl, params, grid)
     tw = _trapezoid_weights(ctrl.grid)
     u = _WaveformSpline(input_mode)(ctrl.grid.times)
     nrm = math.sqrt(float(tw @ np.abs(u) ** 2))
@@ -266,7 +255,8 @@ def optimize_storage_retrieval(
         raise ValueError("input mode vanishes on the iteration window")
 
     def run(x):
-        e = fwd_retr @ (fwd_store @ x)  # store, then retrieve forward: no flip
+        # store, then retrieve forward (no flip); copied, as @ skips BLAS on a reversed view
+        e = fwd @ _adjoint(fwd, x[::-1], ctrl.grid, grid)[::-1].copy()
         return float(tw @ np.abs(e) ** 2), e
 
     efficiencies, u, iterations, converged = _time_reversal_loop(

@@ -296,10 +296,10 @@ class _Integrator:
         self.n_steps = self.complex_steps = self.redone = self.tried = 0
         self.dt_max, self.dt_min, self.error_max = 0.0, math.inf, 0.0
 
-    def field_profile(self, p: np.ndarray, e_in: complex) -> np.ndarray:
-        """Cell-center field values for given P."""
+    def field_profile(self, p: np.ndarray) -> np.ndarray:
+        """Cell-center field values for given P, with no field entering the medium."""
         cs = np.cumsum(p) * self.dz
-        return e_in + 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
+        return 1j * self.sqrt_d * (cs - 0.5 * self.dz * p)
 
     def march(self, p0, s0, window, input_mode: Waveform, ctrl: Waveform, steps,
               out_times=None, stop=None):
@@ -574,7 +574,7 @@ def _ring_down(integ: _Integrator, p, s, t_start: float, steps):
 
 def _swap_finish(integ: _Integrator, p, s, t_end: float, steps):
     """The ideal instantaneous swap pulse, :func:`pi_pulse`."""
-    e = integ.field_profile(p, 0.0)
+    e = integ.field_profile(p)
     state = pi_pulse(EnsembleState(grid=integ.grid, E=e, P=p, S=s, tau=t_end))
     return state.P, state.S, 0.0, 0.0, 0.0
 
@@ -646,7 +646,7 @@ def _simulate(
             residual_fraction=(stored + residual_p) / scale,
         )
     state = EnsembleState(
-        grid=integ.grid, E=integ.field_profile(p, 0.0), P=p, S=s,
+        grid=integ.grid, E=integ.field_profile(p), P=p, S=s,
         tau=out_grid.t_end + ring_time,
     )
     diagnostics = AuditReport(
@@ -755,7 +755,7 @@ def apply_finite_pi_pulse(
     p, s, _, _, leak, dec, _, _ = integ.march(
         state.P, state.S, window, None, ctrl, _Uniform(duration / _PI_PULSE_STEPS)
     )
-    new = replace(state, E=integ.field_profile(p, 0.0), P=p, S=s, tau=window[1])
+    new = replace(state, E=integ.field_profile(p), P=p, S=s, tau=window[1])
     return new, leak, dec
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -95,6 +97,24 @@ def direct_storage_matrix(ctrl, params, grid):
     kappa = _bracket_matrix(h, grid.nodes, params) * np.exp(1j * row_rate(params) * h)[:, None]
     row = _trapezoid_weights(ctrl.grid) * np.conj(ctrl.samples) / (1.0 + 1j * params.delta)
     return -np.sqrt(params.d) * (kappa.T * row[None, :])
+
+
+def chirped_storage_control(params, g):
+    """A varying, chirped control on grid ``g`` that spends the full drain budget."""
+    t = g.times
+    envelope = (1.0 + 0.4 * np.sin(0.3 * t)) * np.exp(0.2j * t + 0.01j * t**2)
+    omega = np.sqrt(1.05 * default_h_max(params) / g.duration) * envelope
+    return ControlField(grid=g, samples=omega)
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def mpmath_bracket(h, zeta, params):
@@ -344,16 +364,32 @@ class TestStoreAdiabatic:
     @pytest.mark.parametrize("d, delta", STORAGE_CASES)
     def test_storage_matrix_matches_direct_adjoint_integral(self, d, delta, reference_input,
                                                            gauss_grid):
-        # a varying, chirped control that spends the full drain budget
         params = MediumParams(d=d, delta=delta)
-        g = reference_input.grid
-        t = g.times
-        envelope = (1.0 + 0.4 * np.sin(0.3 * t)) * np.exp(0.2j * t + 0.01j * t**2)
-        omega = np.sqrt(1.05 * default_h_max(params) / g.duration) * envelope
-        ctrl = ControlField(grid=g, samples=omega)
+        ctrl = chirped_storage_control(params, reference_input.grid)
         ref = direct_storage_matrix(ctrl, params, gauss_grid)
         got = storage_matrix(ctrl, params, gauss_grid)
         assert np.max(np.abs(got - ref)) <= STORAGE_TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("d, delta", STORAGE_CASES)
+    def test_stored_wave_is_storage_matrix_applied(self, d, delta, reference_input, gauss_grid):
+        # the applied adjoint against its matrix form, on the rounding scale of the
+        # product, max_j sum_k |M_jk x_k|: off resonance this control stores a
+        # remainder up to 1e6 times smaller, so its own peak is no yardstick
+        params = MediumParams(d=d, delta=delta)
+        ctrl = chirped_storage_control(params, reference_input.grid)
+        m = storage_matrix(ctrl, params, gauss_grid)
+        got = store_adiabatic(reference_input, ctrl, params, gauss_grid).samples
+        scale = np.max(np.abs(m) @ np.abs(reference_input.samples))
+        assert np.max(np.abs(got - m @ reference_input.samples)) <= 1e-14 * scale
+
+    def test_storage_memory_is_one_retrieval_matrix(self, reference_input, gauss_grid):
+        # 2,001 x 200: the retrieval matrix (6.1 MiB) and its bracket scratch;
+        # a storage matrix built beside it, with its weight ratios, took 15.5 MiB
+        params = MediumParams(d=100.0, delta=30.0)
+        ctrl = chirped_storage_control(params, reference_input.grid)
+        for call in (lambda: store_adiabatic(reference_input, ctrl, params, gauss_grid),
+                     lambda: storage_matrix(ctrl, params, gauss_grid)):
+            assert traced_peak(call) <= 9 * 2**20
 
     def test_asymmetric_grid_rejected(self, reference_input):
         edges = np.linspace(0.0, 1.0, 41) ** 2  # cells crowded toward zeta = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ class TestTimeReversalTables:
     def test_forward_composite_builds_one_bracket_table(self, bracket_calls, reference_input):
         optimize_storage_retrieval(10.0, reference_input, "forward", delta=5.0, max_iter=20)
         assert len(bracket_calls) == 1
+
+    def test_adiabatic_iteration_holds_one_matrix(self, gauss_grid):
+        # 1,501 x 200: the retrieval matrix (4.6 MiB) and its bracket scratch; a
+        # storage matrix beside it took 11.7 MiB
+        init = SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n, dtype=complex))
+        ctrl = completing_control(MediumParams(d=100.0, delta=30.0))
+        tracemalloc.start()
+        try:
+            trace = iterate_retrieval(100.0, ctrl, init, delta=30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.converged
+        assert peak <= 7 * 2**20
 
     @pytest.mark.parametrize("d, delta", [(1.0, 0.0), (30.0, 0.0), (10.0, -50.0), (300.0, 7.0)])
     def test_completing_control_is_its_own_time_reverse(self, d, delta):

@@ -158,6 +158,35 @@ def test_layers_import_only_earlier_layers_at_the_top():
     assert late == []
 
 
+def _private_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each private name a relative import in ``source`` binds."""
+    return [(node.module, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .kernel import _kernel_factor, retrieval_efficiency", [("kernel", "_kernel_factor")]),
+    ("def f():\n    from .optimizer import _efficiency_bounds as b",
+     [("optimizer", "_efficiency_bounds")]),
+    ("from . import kernel\nfrom .core import __version__", []),
+    ("from numpy import _core", []),
+])
+def test_private_import_detector(source, found):
+    assert _private_imports(source) == found
+
+
+def test_kernel_factor_stays_behind_kernel():
+    # the factor's consumers call kernel's functions; cli reads no optimizer internals
+    src = Path(photonmem.__file__).resolve().parent
+    found = {p.stem: _private_imports(p.read_text(encoding="utf-8"))
+             for p in sorted(src.glob("*.py"))}
+    factor = {("kernel", "_kernel_factor"), ("kernel", "_top_eigenvalue")}
+    assert [m for m, names in found.items() if m != "kernel" and factor & set(names)] == []
+    assert [name for module, name in found["cli"] if module == "optimizer"] == []
+
+
 def _long_functions(source: str, limit: int) -> list[str]:
     """``name:line`` of each function in ``source``, nested ones too, over ``limit`` lines."""
     return [f"{node.name}:{node.lineno}" for node in ast.walk(ast.parse(source))
