@@ -111,11 +111,11 @@ def default_h_max(params: MediumParams) -> float:
 # Every Bessel argument 2 sqrt(h d zeta)/(1 + i delta) of the bracket lies
 # on the ray t e^{-i phi}, phi = arctan(delta): the real axis on resonance.
 # The scaled I0 along it is tabulated once per call as Taylor coefficients of
-# order _RAY_ORDER at the nodes t_k = k * _RAY_STEP.  At |t - t_k| <= 1/32 the
-# truncation error is (1/32)^9 / 9! ~ 8e-20 times the scale of the ninth
-# derivative, which along the ray is of the order of the scaled I0 itself.
-_RAY_STEP = 1.0 / 16.0
-_RAY_ORDER = 8
+# some order at the nodes t_k = k * step.  At |t - t_k| <= step / 2 the
+# truncation error is (step / 2)^(order + 1) / (order + 1)! times the scale of
+# that derivative, which along the ray is of the order of the scaled I0 itself.
+_RAY_FINE = (1.0 / 16.0, 8)  # (step, order): error 8e-20
+_RAY_COARSE = (0.5, 14)  # an eighth of the nodes, error 7e-22
 _RAY_BLOCK = 64  # rows per evaluation block, sized to stay in cache
 # Chebyshev points in sqrt(h) of the shaping's energy table, the least; an
 # n-point interpolant of q takes the first 2^k + 1 >= 2n above it
@@ -123,10 +123,10 @@ _ENERGY_ROWS = 4097
 _NEWTON_STEPS = 3  # per shaped sample, on the table's Hermite panel
 
 
-def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
-    """Taylor coefficients of I0(t rot) exp(-t_k Re rot) in t - t_k, per node.
+def _ray_taylor_table(n_nodes: int, rot: complex, step: float, order: int) -> np.ndarray:
+    """Taylor coefficients of I0(t rot) exp(-t_k Re rot) in t - t_k, per node t_k = k step.
 
-    Complex, of shape (_RAY_ORDER + 1, n_nodes).  Orders 0 and 1 are
+    Complex, of shape (order + 1, n_nodes).  Orders 0 and 1 are
     ive(0, a) and ive(1, a) at a = t_k rot; Bessel's equation
     a y'' + y' - a y = 0 expanded about a gives the rest,
 
@@ -135,29 +135,34 @@ def _ray_taylor_table(n_nodes: int, rot: complex) -> np.ndarray:
     two Bessel evaluations per node instead of one per order.  The node
     t_0 = 0 is the equation's singular point and takes the series of I0 there.
     """
-    a = np.arange(1, n_nodes) * (_RAY_STEP * rot)
-    c = np.zeros((_RAY_ORDER + 1, n_nodes), dtype=complex)
+    a = np.arange(1, n_nodes) * (step * rot)
+    c = np.zeros((order + 1, n_nodes), dtype=complex)
     c[0, 1:] = ive(0, a)
     c[1, 1:] = ive(1, a)
-    for n in range(_RAY_ORDER - 1):
+    for n in range(order - 1):
         c_prev = c[n - 1, 1:] if n else 0.0
         rhs = a * c[n, 1:] + c_prev - (n + 1) ** 2 * c[n + 1, 1:]
         c[n + 2, 1:] = rhs / (a * ((n + 1) * (n + 2)))
-    for m in range(0, _RAY_ORDER + 1, 2):
+    for m in range(0, order + 1, 2):
         c[m, 0] = 1.0 / (4 ** (m // 2) * math.factorial(m // 2) ** 2)
-    c *= rot ** np.arange(_RAY_ORDER + 1)[:, None]  # a step t - t_k moves a by rot (t - t_k)
+    c *= rot ** np.arange(order + 1)[:, None]  # a step t - t_k moves a by rot (t - t_k)
     return c
 
 
-def _ray_table(sh_max: float, zeta: np.ndarray, params: MediumParams) -> np.ndarray:
-    """The :func:`_ray_taylor_table` of the bracket rows up to sqrt(h) = ``sh_max``.
+def _ray_table(
+    sh_max: float, zeta: np.ndarray, params: MediumParams, pair: tuple = _RAY_FINE
+) -> tuple:
+    """(step, :func:`_ray_taylor_table`) of the bracket rows up to sqrt(h) = ``sh_max``.
 
-    Its nodes reach t = sh_max * 2 sqrt(d max zeta) cos(phi) plus one step.
+    ``pair`` is the (step, order) of the nodes, which reach
+    t = sh_max * 2 sqrt(d max zeta) cos(phi) plus one step.
     """
+    step, order = pair
     denom = 1.0 + 1j * params.delta
     cos_phi = 1.0 / abs(denom)
     st_max = (2.0 * cos_phi) * np.sqrt(params.d * np.max(zeta, initial=0.0))
-    return _ray_taylor_table(int(sh_max * st_max / _RAY_STEP) + 2, cos_phi * np.conj(denom))
+    rot = cos_phi * np.conj(denom)
+    return step, _ray_taylor_table(int(sh_max * st_max / step) + 2, rot, step, order)
 
 
 def _row_rate(params: MediumParams) -> float:
@@ -169,7 +174,7 @@ def _bracket_matrix(
     h: np.ndarray,
     zeta: np.ndarray,
     params: MediumParams,
-    table: np.ndarray | None = None,
+    table: tuple | None = None,
 ) -> np.ndarray:
     """exp(-(d z + h)/(1+i delta)) * I0(2 sqrt(d z h)/(1+i delta)) * e^{-i r h}, stably.
 
@@ -184,18 +189,20 @@ def _bracket_matrix(
     element.  The rows leave the row phase to the caller, so they are smooth
     in sqrt(h); on resonance r = 0 and both phases are 1.
 
-    ``table`` is a :func:`_ray_table` for rows up to at least max sqrt(h),
-    so that several calls share one; by default each call builds its own.
+    ``table`` is a :func:`_ray_table`, step and coefficients, for rows up to
+    at least max sqrt(h), so that several calls share one; by default each
+    call builds its own.
     """
     h = np.asarray(h, dtype=float)
     dz = params.d * zeta
     sh, sdz = np.sqrt(h), np.sqrt(dz)
     denom = 1.0 + 1j * params.delta
     cos_phi = 1.0 / abs(denom)
-    st = (2.0 * cos_phi) * sdz  # t = sqrt(h) * st
-    steps = st * (1.0 / _RAY_STEP)  # t / _RAY_STEP = sqrt(h) * steps
     sh_max = np.max(sh, initial=0.0)
-    c = _ray_table(sh_max, zeta, params) if table is None else table
+    step, c = _ray_table(sh_max, zeta, params) if table is None else table
+    order = c.shape[0] - 1
+    st = (2.0 * cos_phi) * sdz  # t = sqrt(h) * st
+    steps = st * (1.0 / step)  # t / step = sqrt(h) * steps
     if np.rint(sh_max * np.max(steps, initial=0.0)) >= c.shape[1]:
         raise ValueError("the ray table does not reach these rows")
     node_phase = np.exp(1j * (_row_rate(params) * dz))
@@ -213,11 +220,11 @@ def _bracket_matrix(
         np.rint(ds, out=x)
         k[...] = x
         ds -= x
-        ds *= _RAY_STEP
+        ds *= step
         ds_c.real = ds
         # k is inside the table, checked above; "clip" skips the copy "raise" makes
-        np.take(c[_RAY_ORDER], k, out=o, mode="clip")
-        for m in range(_RAY_ORDER - 1, -1, -1):
+        np.take(c[order], k, out=o, mode="clip")
+        for m in range(order - 1, -1, -1):
             o *= ds_c
             o += np.take(c[m], k, out=w, mode="clip")
         np.subtract(sh[rows, None], sdz, out=x)
@@ -246,7 +253,7 @@ def _emission_profile(
     h: np.ndarray,
     s: SpinWave,
     params: MediumParams,
-    table: np.ndarray | None = None,
+    table: tuple | None = None,
 ) -> np.ndarray:
     """q(h) e^{-i r h}, r = delta / (1 + delta^2), on the wave's grid.
 
@@ -254,7 +261,7 @@ def _emission_profile(
     :func:`_bracket_matrix`, to which ``table`` passes, contracted with the
     reversed weighted samples.
     """
-    v = (_quadrature_weights(s.grid, params) * s.samples)[::-1]
+    v = (_quadrature_weights(s.grid, params) * s.samples)[::-1].copy()  # contiguous for BLAS
     return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table) @ v
 
 
@@ -281,7 +288,9 @@ def _emission_interpolant(
     the row phase exactly at each h.
     """
     u_max = math.sqrt(h_max)
-    table = _ray_table(u_max, s.grid.nodes, params)
+    # the table costs per node, the Horner sum per element and order: on a
+    # shaping's few rows the coarse pair is the cheaper, on thousands the fine
+    table = _ray_table(u_max, s.grid.nodes, params, _RAY_COARSE)
     q_tilde = _chebyshev_interpolant(
         lambda u: _emission_profile(u * u, s, params, table), 0.0, u_max
     )

@@ -26,6 +26,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,7 @@ _COMMANDS = {
 _SINGLE_DEPTH_COMMANDS = ("simulate", "iterate")
 
 
+@cache  # one parser per process: building it costs about 30 parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonmem",

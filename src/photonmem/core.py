@@ -365,7 +365,7 @@ def _hermite_panel(fa, dfa, fb, dfb, w, t):
 # (Berrut & Trefethen, SIAM Rev. 46, 2004), with the number of points
 # chosen by where the Chebyshev coefficients reach rounding level (a plain
 # form of the chop of Aurentz & Trefethen, ACM TOMS 43, 2017).
-_CHEB_START = 129  # points of the first level; each level doubles the intervals
+_CHEB_START = 65  # points of the first level; each level doubles the intervals
 _CHEB_MAX = 8193  # points at which a still unresolved function raises
 _CHEB_TAIL = 1e-14  # the last eighth of the coefficients, relative to the largest
 _CHEB_BLOCK = 2**18  # (evaluation point, node) pairs per barycentric block

@@ -31,9 +31,11 @@ from photonmem import (
 )
 from photonmem.adiabatic import (
     DecayFunction,
+    _RAY_COARSE,
     _bracket_matrix,
     _emission_interpolant,
     _emission_profile,
+    _ray_table,
     _tabulate_energy_curve,
     default_h_max,
     retrieval_matrix,
@@ -68,6 +70,25 @@ ENERGY_TABLE_TOL = 1e-5  # of the shaped control's peak, default table against a
 def shaping_rows(params):
     """4,001 evenly sqrt(h)-spaced bracket rows up to the default cap; row 0 is h = 0."""
     return np.linspace(0.0, np.sqrt(default_h_max(params)), 4001) ** 2
+
+
+def shaping_table(params, zeta):
+    """The ray table a shaping's Chebyshev interpolant shares up to the default cap."""
+    return _ray_table(np.sqrt(default_h_max(params)), zeta, params, _RAY_COARSE)
+
+
+def shaping_bracket_rows(monkeypatch, s, target, params):
+    """The bracket rows one shaping of ``target`` from ``s`` evaluates, in all."""
+    rows = []
+    real = adiabatic._bracket_matrix
+
+    def counting(h, *args, **kwargs):
+        rows.append(np.size(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
+    shape_retrieval_control(s, target, params)
+    return sum(rows)
 
 
 def row_rate(params):
@@ -134,6 +155,22 @@ def mpmath_row_phase(h, params):
         return complex(mpmath.expj(delta / (1 + delta**2) * mpmath.mpf(h)))
 
 
+def mpmath_bracket_error(got, h, zeta, params):
+    """max |got e^{i r h} - mpmath bracket| over sampled elements of the bracket rows ``got``.
+
+    The rows are evenly spread from h = 0 to the last row plus a few seeded
+    interior ones; the columns both end nodes of the grid, evenly spread and
+    seeded ones.
+    """
+    rng = np.random.default_rng(7)
+    rows = np.union1d(np.linspace(0, h.size - 1, 9).astype(int), rng.integers(0, h.size, 4))
+    cols = np.union1d(np.linspace(0, zeta.size - 1, 5).astype(int), rng.integers(0, zeta.size, 3))
+    return max(
+        abs(got[i, j] * mpmath_row_phase(h[i], params) - mpmath_bracket(h[i], zeta[j], params))
+        for i in rows for j in cols
+    )
+
+
 class TestDecayFunction:
     def test_constant_control_is_linear(self):
         ctrl = constant_control(1.5, 10.0, 101)
@@ -172,17 +209,7 @@ class TestBracket:
         h = shaping_rows(params)
         zeta = gauss_grid.nodes
         got = _bracket_matrix(h, zeta, params)
-        rng = np.random.default_rng(7)
-        # evenly spread rows from h = 0 to the last row, both end nodes of the
-        # Gauss grid, and a few seeded interior points
-        rows = np.union1d(np.linspace(0, h.size - 1, 9).astype(int), rng.integers(0, h.size, 4))
-        cols = np.union1d(np.linspace(0, zeta.size - 1, 5).astype(int), rng.integers(0, zeta.size, 3))
-        scale = np.max(np.abs(got))
-        err = max(
-            abs(got[i, j] * mpmath_row_phase(h[i], params) - mpmath_bracket(h[i], zeta[j], params))
-            for i in rows for j in cols
-        )
-        assert err <= BRACKET_TOL * scale
+        assert mpmath_bracket_error(got, h, zeta, params) <= BRACKET_TOL * np.max(np.abs(got))
 
     @pytest.mark.parametrize("delta", RAMAN_DETUNINGS)
     @pytest.mark.parametrize("d", RAMAN_DEPTHS)
@@ -192,6 +219,46 @@ class TestBracket:
         ref = ive_bracket(h, gauss_grid.nodes, params)
         got = _bracket_matrix(h, gauss_grid.nodes, params)
         assert np.max(np.abs(got - ref)) <= BRACKET_TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta", RAMAN_DETUNINGS)
+    @pytest.mark.parametrize("d", RAMAN_DEPTHS)
+    def test_shaping_table_bracket_matches_mpmath(self, d, delta, gauss_grid):
+        # the coarse table (step 1/2, order 14) the shaping's interpolant shares
+        params = MediumParams(d=d, delta=delta)
+        h = shaping_rows(params)
+        zeta = gauss_grid.nodes
+        got = _bracket_matrix(h, zeta, params, shaping_table(params, zeta))
+        assert mpmath_bracket_error(got, h, zeta, params) <= BRACKET_TOL * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("delta", RAMAN_DETUNINGS)
+    @pytest.mark.parametrize("d", RAMAN_DEPTHS)
+    def test_shaping_table_bracket_matches_ive_formula(self, d, delta, gauss_grid):
+        params = MediumParams(d=d, delta=delta)
+        h = shaping_rows(params)
+        ref = ive_bracket(h, gauss_grid.nodes, params)
+        got = _bracket_matrix(h, gauss_grid.nodes, params, shaping_table(params, gauss_grid.nodes))
+        assert np.max(np.abs(got - ref)) <= BRACKET_TOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 10.0, -50.0, 1000.0])
+    def test_shaping_table_first_node_matches_mpmath_derivatives(self, delta, gauss_grid):
+        # the recurrence divides by a = t_k rot, smallest (|a| = 1/2) at the first
+        # nonzero node; each coefficient is of I0(t rot) e^{-t_1 Re rot} in t - t_1
+        params = MediumParams(d=10.0, delta=delta)
+        step, c = shaping_table(params, gauss_grid.nodes)
+        assert (step, c.shape[0] - 1) == (0.5, 14)
+        rot = (1.0 - 1j * delta) / np.hypot(1.0, delta)
+        with mpmath.workdps(40):
+            r = mpmath.mpc(rot.real, rot.imag)
+            t1 = mpmath.mpf(step)
+            ref = np.array([
+                complex(mpmath.diff(lambda t: mpmath.besseli(0, t * r), t1, m)
+                        / mpmath.factorial(m) * mpmath.exp(-t1 * r.real))
+                for m in range(c.shape[0])
+            ])
+        # high orders lose relative accuracy, but within |t - t_1| <= step / 2
+        # their terms stay far below rounding of the value
+        reach = (step / 2) ** np.arange(c.shape[0])
+        assert np.sum(np.abs(c[:, 1] - ref) * reach) <= 1e-15 * abs(ref[0])
 
     @pytest.mark.parametrize("delta", [30.0, 0.0])
     def test_raman_shaping_evaluates_ive_per_node_not_per_element(
@@ -244,17 +311,18 @@ class TestBracket:
         # a guard without timing: q read directly off the bracket takes the
         # 4,001 energy-table rows plus one row per target sample; its
         # Chebyshev interpolant takes a few hundred
-        rows = []
-        real = adiabatic._bracket_matrix
-
-        def counting(h, *args, **kwargs):
-            rows.append(np.size(h))
-            return real(h, *args, **kwargs)
-
-        monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
         s, _ = optimal_modes[100.0]
-        shape_retrieval_control(s, time_reverse(reference_input), MediumParams(d=100.0, delta=delta))
-        assert 0 < sum(rows) <= 600
+        params = MediumParams(d=100.0, delta=delta)
+        assert 0 < shaping_bracket_rows(monkeypatch, s, time_reverse(reference_input), params) <= 600
+
+    def test_shallow_shaping_evaluates_first_level_only(
+        self, monkeypatch, optimal_modes, reference_input
+    ):
+        # a guard without timing: at d = 10 the first Chebyshev level already
+        # resolves q, so no second level is sampled
+        s, _ = optimal_modes[10.0]
+        params = MediumParams(d=10.0)
+        assert 0 < shaping_bracket_rows(monkeypatch, s, time_reverse(reference_input), params) <= 65
 
     @pytest.mark.parametrize("delta", INTERP_DETUNINGS)
     @pytest.mark.parametrize("d", INTERP_DEPTHS)

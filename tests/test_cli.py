@@ -467,3 +467,15 @@ def test_each_command_reads_every_flag_it_takes(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     flags = set(vars(cli._build_parser().parse_args([command]))) - {"command", "config"}
     assert flags - read == set()
+
+
+def test_parser_built_once_per_process(tmp_path):
+    # two calls share one parser and write the same summary
+    cli._build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert main(["optimal-spinwave", "--d", "3", "--out", str(tmp_path / name)]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    first, second = ((tmp_path / name / "optimal_spinwave_summary.json").read_bytes()
+                     for name in ("a", "b"))
+    assert first == second

@@ -261,6 +261,17 @@ class TestChebyshevInterpolant:
         x = np.concatenate([np.linspace(0.0, 2.0, 10_001), interp.points])
         assert np.max(np.abs(interp(x) - f(x))) < 1e-14
 
+    def test_function_beyond_first_level_takes_the_next(self):
+        # e^{30ix} on [-1, 1] needs about 60 coefficients: the first level's
+        # tail is not at rounding level, the next level's is
+        def f(x):
+            return np.exp(30j * x)
+
+        interp = _chebyshev_interpolant(f, -1.0, 1.0)
+        assert interp.n == 2 * _CHEB_START - 1 == 129
+        x = np.linspace(-1.0, 1.0, 10_001)
+        assert np.max(np.abs(interp(x) - f(x))) <= 1e-14
+
     def test_values_on_a_finer_level_by_one_fft(self):
         # 40 coefficients per series, two series at once, onto 129 points
         rng = np.random.default_rng(3)
