@@ -15,6 +15,12 @@ tau) with G(h) = d * integral_0^h |q|^2 dh', read off the magnitude from
 dh/dtau and the phase from the closed form itself.  Storage is the time
 reverse of retrieval; its closed form is the adjoint integral and optimal
 storage controls are time-reversed shaped retrieval controls.
+
+Both maps share one factored retrieval matrix R = diag(row) L B diag(col):
+B is the bracket on a few Chebyshev points in sqrt(h), chopped over all
+its columns, and L their barycentric interpolation to the control's
+samples.  Retrieval applies L (B s), storage the weighted adjoint
+((tw e row) L) B, so neither builds a matrix over every sample.
 """
 
 from __future__ import annotations
@@ -35,12 +41,15 @@ from .core import (
     SpaceGrid,
     SpinWave,
     TimeGrid,
+    _CHEB_START,
+    _CHEB_TAIL,
     _BarycentricInterpolant,
     _chebyshev_coefficients,
     _chebyshev_interpolant,
     _chebyshev_points,
     _chebyshev_values,
     _hermite_panel,
+    _real_product,
     _trapezoid_weights,
     mode_norm2,
     time_reverse,
@@ -111,12 +120,16 @@ def default_h_max(params: MediumParams) -> float:
 # Every Bessel argument 2 sqrt(h d zeta)/(1 + i delta) of the bracket lies
 # on the ray t e^{-i phi}, phi = arctan(delta): the real axis on resonance.
 # The scaled I0 along it is tabulated once per call as Taylor coefficients of
-# some order at the nodes t_k = k * step.  At |t - t_k| <= step / 2 the
-# truncation error is (step / 2)^(order + 1) / (order + 1)! times the scale of
-# that derivative, which along the ray is of the order of the scaled I0 itself.
-_RAY_FINE = (1.0 / 16.0, 8)  # (step, order): error 8e-20
-_RAY_COARSE = (0.5, 14)  # an eighth of the nodes, error 7e-22
+# order _RAY_ORDER at the nodes t_k = k * _RAY_STEP.  At |t - t_k| <= step / 2
+# the truncation error is (step / 2)^(order + 1) / (order + 1)! times the scale
+# of that derivative, which along the ray is of the order of the scaled I0
+# itself: 7e-22.
+_RAY_STEP, _RAY_ORDER = 0.5, 14
 _RAY_BLOCK = 64  # rows per evaluation block, sized to stay in cache
+# the most Chebyshev points of a factored retrieval map: on 1,501 samples at
+# d = 3000, 513 points took 32 ms to store and 46 ms for the dense matrix,
+# the rows at the samples 24 and 23 ms
+_MAP_POINTS = 257
 # Chebyshev points in sqrt(h) of the shaping's energy table, the least; an
 # n-point interpolant of q takes the first 2^k + 1 >= 2n above it
 _ENERGY_ROWS = 4097
@@ -149,20 +162,17 @@ def _ray_taylor_table(n_nodes: int, rot: complex, step: float, order: int) -> np
     return c
 
 
-def _ray_table(
-    sh_max: float, zeta: np.ndarray, params: MediumParams, pair: tuple = _RAY_FINE
-) -> tuple:
+def _ray_table(sh_max: float, zeta: np.ndarray, params: MediumParams) -> tuple:
     """(step, :func:`_ray_taylor_table`) of the bracket rows up to sqrt(h) = ``sh_max``.
 
-    ``pair`` is the (step, order) of the nodes, which reach
-    t = sh_max * 2 sqrt(d max zeta) cos(phi) plus one step.
+    The nodes reach t = sh_max * 2 sqrt(d max zeta) cos(phi) plus one step.
     """
-    step, order = pair
+    step = _RAY_STEP
     denom = 1.0 + 1j * params.delta
     cos_phi = 1.0 / abs(denom)
     st_max = (2.0 * cos_phi) * np.sqrt(params.d * np.max(zeta, initial=0.0))
     rot = cos_phi * np.conj(denom)
-    return step, _ray_taylor_table(int(sh_max * st_max / step) + 2, rot, step, order)
+    return step, _ray_taylor_table(int(sh_max * st_max / step) + 2, rot, step, _RAY_ORDER)
 
 
 def _row_rate(params: MediumParams) -> float:
@@ -232,6 +242,9 @@ def _bracket_matrix(
         x *= -(cos_phi * cos_phi)
         ds *= cos_phi
         x -= ds
+        # a modulus below e^-700 would leave subnormal elements, each of which
+        # slows every later product with the rows many times over; it goes to 0
+        x[x < -700.0] = -np.inf
         np.exp(x, out=x)  # the modulus of the exponential
         o *= x
         o *= node_phase
@@ -288,9 +301,7 @@ def _emission_interpolant(
     the row phase exactly at each h.
     """
     u_max = math.sqrt(h_max)
-    # the table costs per node, the Horner sum per element and order: on a
-    # shaping's few rows the coarse pair is the cheaper, on thousands the fine
-    table = _ray_table(u_max, s.grid.nodes, params, _RAY_COARSE)
+    table = _ray_table(u_max, s.grid.nodes, params)
     q_tilde = _chebyshev_interpolant(
         lambda u: _emission_profile(u * u, s, params, table), 0.0, u_max
     )
@@ -307,38 +318,105 @@ def _warn_short_window(duration: float, d: float, what: str):
         )
 
 
+def _chebyshev_level(u_max: float, zeta_max: float, params: MediumParams) -> int:
+    """The level the chop is predicted to take on the bracket rows up to
+    sqrt(h) = ``u_max``, over nodes up to ``zeta_max``.
+
+    At large argument a row is, in u = sqrt(h), a Gaussian of width
+    1/cos(phi) times a wave of 2 |r| sqrt(d zeta) radians per unit u; its
+    spectrum falls to ``_CHEB_TAIL`` within 2 cos(phi) sqrt(-ln _CHEB_TAIL)
+    of the wave's, and the chop reads 8/7 of that times u_max / 2.  Over 449
+    cases (d from 0.1 to 1e4, |delta| to 1000, h to 3 default_h_max) the
+    chop took at most the level above this; fewer where |delta| <= 3 and
+    d >= 1e3, where the wave has not formed.
+    """
+    spread = (2.0 * abs(_row_rate(params)) * math.sqrt(params.d * zeta_max)
+              + 2.0 / math.hypot(1.0, params.delta) * math.sqrt(-math.log(_CHEB_TAIL)))
+    level = _CHEB_START
+    while level < 4.0 / 7.0 * spread * u_max:
+        level = 2 * level - 1
+    return level
+
+
+@dataclass(frozen=True, eq=False)
+class _RetrievalMap:
+    """R = diag(row) L B diag(col), the retrieval matrix of a control in factors.
+
+    ``row`` is -sqrt(d) omega e^{i r h} and ``col`` the
+    :func:`_quadrature_weights`.  B, ``rows``, holds the bracket rows at the
+    reversed nodes on Chebyshev points in sqrt(h), and L, ``lag``, is their
+    real barycentric matrix at the samples' sqrt(h); where ``lag`` is None,
+    B holds the rows at the samples and L = 1.
+    """
+
+    row: np.ndarray
+    rows: np.ndarray
+    col: np.ndarray
+    lag: np.ndarray | None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        x = self.rows @ (self.col * v)
+        if self.lag is not None:
+            x = _real_product(self.lag, x)
+        return self.row * x
+
+    def adjoint(self, e: np.ndarray, tw: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(tw e) R / w = ((tw e row) L) B col / w, the adjoint of R in the time
+        weights ``tw`` and the space weights ``w``.  A control stores x into
+        adjoint(x[::-1])[::-1], with R the retrieval matrix of its time reverse."""
+        y = tw * e * self.row
+        if self.lag is not None:
+            y = _real_product(self.lag.T, y)
+        return (y @ self.rows) * (self.col / w)
+
+
+def _retrieval_map(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> _RetrievalMap:
+    """The factors of the retrieval matrix of ``ctrl`` on ``grid``.
+
+    B is the chop of :func:`_chebyshev_interpolant` over all its columns,
+    which share one ray table, where :func:`_chebyshev_level` predicts at
+    most ``_MAP_POINTS`` points and the level above the prediction, the
+    most the chop may take (past it, it raises ConvergenceError), is below
+    the sample count: no map evaluates as many rows as the direct route.
+    Elsewhere B is the rows at the samples.
+    """
+    h = DecayFunction.from_control(ctrl).h
+    sh, zeta = np.sqrt(h), grid.nodes[::-1]
+    table = _ray_table(sh[-1], zeta, params)
+    level = _chebyshev_level(sh[-1], zeta[0], params)
+    if level <= _MAP_POINTS and 2 * level - 1 < h.size:
+        cheb = _chebyshev_interpolant(
+            lambda u: _bracket_matrix(u * u, zeta, params, table), 0.0, sh[-1], 2 * level - 1
+        )
+        rows, lag = cheb.values, cheb.lagrange(sh)
+    else:
+        rows, lag = _bracket_matrix(h, zeta, params, table), None
+    row = -math.sqrt(params.d) * ctrl.samples * np.exp(1j * _row_rate(params) * h)
+    return _RetrievalMap(row=row, rows=rows, col=_quadrature_weights(grid, params), lag=lag)
+
+
 def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
     """Matrix sending retrieval-frame spin-wave samples to output samples.
 
     Row k holds the quadrature of the closed-form emission integral at the
     k-th control time: the bracket at the reversed nodes, weighted by
-    :func:`_quadrature_weights` and scaled in place by -sqrt(d) omega e^{i r h};
-    reused by the optimizer to iterate composite maps as plain matrix-vector
-    products.
+    :func:`_quadrature_weights` and scaled by -sqrt(d) omega e^{i r h}; the
+    dense product of the factors of :func:`_retrieval_map`.
     """
-    h = DecayFunction.from_control(ctrl).h
-    m = _bracket_matrix(h, grid.nodes[::-1], params)
-    m *= _quadrature_weights(grid, params)
-    m *= (-math.sqrt(params.d) * ctrl.samples * np.exp(1j * _row_rate(params) * h))[:, None]
-    return m
-
-
-def _adjoint(r: np.ndarray, e: np.ndarray, time_grid: TimeGrid, grid: SpaceGrid) -> np.ndarray:
-    """(tw e) @ r / w: the adjoint of the retrieval matrix ``r`` in the trapezoid
-    time weights tw and the space weights w, applied to output samples ``e``.
-
-    A control stores x into _adjoint(r, x[::-1])[::-1], with r the retrieval
-    matrix of its time reverse; tw e is a fresh contiguous vector, as BLAS needs.
-    """
-    return (_trapezoid_weights(time_grid) * e) @ r / grid.weights
+    fwd = _retrieval_map(ctrl, params, grid)
+    r = fwd.rows if fwd.lag is None else (fwd.lag @ fwd.rows.view(float)).view(complex)
+    r *= fwd.col
+    r *= fwd.row[:, None]
+    return r
 
 
 def storage_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
     """Matrix sending input-mode samples to stored spin-wave samples.
 
-    :func:`_adjoint` in matrix form: the retrieval matrix of the time-reversed
-    control, scaled in place by tw (rows) and 1/w (columns), transposed and
-    reversed in both axes; the grid must be symmetric under zeta -> 1 - zeta.
+    :meth:`_RetrievalMap.adjoint` in matrix form: the retrieval matrix of the
+    time-reversed control, scaled in place by tw (rows) and 1/w (columns),
+    transposed and reversed in both axes; the grid must be symmetric under
+    zeta -> 1 - zeta.
     """
     r = retrieval_matrix(time_reverse(ctrl), params, grid)
     r *= _trapezoid_weights(ctrl.grid)[:, None]
@@ -355,7 +433,7 @@ def retrieve_adiabatic(s: SpinWave, ctrl: ControlField, params: MediumParams) ->
     control shape or detuning.
     """
     _warn_short_window(ctrl.grid.duration, params.d, "retrieve_adiabatic")
-    out = retrieval_matrix(ctrl, params, s.grid) @ s.samples
+    out = _retrieval_map(ctrl, params, s.grid) @ s.samples
     return FieldMode(grid=ctrl.grid, samples=out)
 
 
@@ -367,17 +445,18 @@ def store_adiabatic(
 ) -> SpinWave:
     """Closed-form spin wave stored from an input mode (storage frame).
 
-    This is the time reverse of :func:`retrieve_adiabatic`, by :func:`_adjoint`;
-    ``grid`` must be symmetric under zeta -> 1 - zeta.
+    This is the time reverse of :func:`retrieve_adiabatic`, by
+    :meth:`_RetrievalMap.adjoint`; ``grid`` must be symmetric under
+    zeta -> 1 - zeta.
     """
     if ctrl.grid != input_mode.grid:
         raise ValueError("control and input must share a time grid")
     if grid is None:
         grid = SpaceGrid.gauss_legendre()
     _warn_short_window(input_mode.grid.duration, params.d, "store_adiabatic")
-    r = retrieval_matrix(time_reverse(ctrl), params, grid)
-    samples = _adjoint(r, input_mode.samples[::-1], ctrl.grid, grid)[::-1]
-    return SpinWave(grid=grid, samples=samples)
+    fwd = _retrieval_map(time_reverse(ctrl), params, grid)
+    samples = fwd.adjoint(input_mode.samples[::-1], _trapezoid_weights(ctrl.grid), grid.weights)
+    return SpinWave(grid=grid, samples=samples[::-1])
 
 
 @dataclass(frozen=True, eq=False)

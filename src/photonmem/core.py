@@ -366,7 +366,7 @@ def _hermite_panel(fa, dfa, fb, dfb, w, t):
 # chosen by where the Chebyshev coefficients reach rounding level (a plain
 # form of the chop of Aurentz & Trefethen, ACM TOMS 43, 2017).
 _CHEB_START = 65  # points of the first level; each level doubles the intervals
-_CHEB_MAX = 8193  # points at which a still unresolved function raises
+_CHEB_MAX = 8193  # the most points sampled; a function unresolved there raises
 _CHEB_TAIL = 1e-14  # the last eighth of the coefficients, relative to the largest
 _CHEB_BLOCK = 2**18  # (evaluation point, node) pairs per barycentric block
 
@@ -386,10 +386,11 @@ def _chebyshev_points(n: int, a: float, b: float) -> np.ndarray:
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients c_k of sum_k c_k T_k through ``values`` at the points of
-    :func:`_chebyshev_points`, by one FFT of the even extension."""
-    m = values.size - 1
-    c = np.fft.fft(np.concatenate([values, values[m - 1:0:-1]]))[: m + 1] / m
-    c[[0, m]] /= 2.0
+    :func:`_chebyshev_points`, by one FFT of the even extension; one series
+    per row of a 2-d ``values``."""
+    m = values.shape[-1] - 1
+    c = np.fft.fft(np.concatenate([values, values[..., m - 1:0:-1]], axis=-1))[..., : m + 1] / m
+    c[..., [0, m]] /= 2.0
     return c
 
 
@@ -409,13 +410,19 @@ def _chebyshev_values(coefficients: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(e)[..., : m + 1]
 
 
+def _real_product(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a real matrix ``a`` and a contiguous complex vector ``v``, as
+    one real product; ``a @ v`` would cast ``a`` to complex on every call."""
+    return (a @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class _BarycentricInterpolant:
     """Complex values at interpolation points, evaluated anywhere on their span.
 
     A call evaluates the barycentric formula with the points' ``weights``,
     ``_CHEB_BLOCK // n`` points at a time, so memory stays bounded whatever
-    the number of evaluation points.
+    the number of evaluation points; :meth:`lagrange` is its matrix.
     """
 
     points: np.ndarray
@@ -448,40 +455,57 @@ class _BarycentricInterpolant:
                 out[r:r + step] = q
         return out.reshape(x.shape)
 
+    def lagrange(self, x: np.ndarray) -> np.ndarray:
+        """The real len(x) x n matrix L of the formula at the points ``x``:
+        ``L @ values`` is the interpolant there."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.subtract.outer(x, self.points)
+            np.divide(self.weights, c, out=c)
+            c /= c.sum(axis=1, keepdims=True)
+        on = np.flatnonzero(np.isnan(c).any(axis=1))  # x on a node
+        if on.size:
+            c[on] = 0.0
+            c[on, np.abs(x[on, None] - self.points).argmin(axis=1)] = 1.0
+        return c
 
-def _chebyshev_interpolant(f, a: float, b: float) -> _BarycentricInterpolant:
+
+def _chebyshev_interpolant(
+    f, a: float, b: float, n_max: int = _CHEB_MAX
+) -> _BarycentricInterpolant:
     """Chebyshev interpolant of a smooth complex function on [a, b].
 
-    ``f`` maps an array of points to the function's values there.  It is
+    ``f`` maps an array of points to the function's values there, or to
+    one row of values per point for several functions at once.  It is
     sampled at ``_CHEB_START`` Chebyshev points, then at the new points of
     each level that doubles the intervals, until the last eighth of the
-    Chebyshev coefficients is at most ``_CHEB_TAIL`` of the largest.  A
-    function still unresolved at ``_CHEB_MAX`` points raises
-    :class:`ConvergenceError`, and one with non-finite values ValueError.
+    Chebyshev coefficients, each the largest over the functions, is at most
+    ``_CHEB_TAIL`` of the largest.  A function still unresolved on the last
+    level of at most ``n_max`` points raises :class:`ConvergenceError`
+    before any point beyond it is sampled, and one with non-finite values
+    ValueError.
     """
     n, values = _CHEB_START, None
-    while True:
+    while n <= n_max:
         x = _chebyshev_points(n, a, b)
         if values is None:
             values = np.asarray(f(x), dtype=complex)
         else:
-            merged = np.empty(n, dtype=complex)
+            merged = np.empty((n,) + values.shape[1:], dtype=complex)
             merged[::2] = values
             merged[1::2] = f(x[1::2])
             values = merged
         if not np.all(np.isfinite(values)):
             raise ValueError("Chebyshev interpolant: the function is not finite on the interval")
-        mag = np.abs(_chebyshev_coefficients(values))
+        mag = np.abs(_chebyshev_coefficients(values.T)).reshape(-1, n).max(axis=0)
         if np.max(mag[-(n // 8):]) <= _CHEB_TAIL * np.max(mag):
             w = np.where(np.arange(n) % 2, -1.0, 1.0)  # (-1)^j, halved at the ends
             w[[0, -1]] *= 0.5
             return _BarycentricInterpolant(points=x, values=values, weights=w)
-        if n >= _CHEB_MAX:
-            raise ConvergenceError(
-                f"Chebyshev interpolant: not resolved to rounding level at {n} points "
-                f"on [{a!r}, {b!r}]"
-            )
         n = 2 * n - 1
+    raise ConvergenceError(
+        f"Chebyshev interpolant: not resolved to rounding level on at most {n_max} points "
+        f"on [{a!r}, {b!r}]"
+    )
 
 
 def make_reference_input(T: float, grid: TimeGrid | None = None) -> FieldMode:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import (
-    _adjoint,
+    _retrieval_map,
     default_h_max,
     optimal_storage_control,
-    retrieval_matrix,
     store_adiabatic,
 )
 from .core import (
@@ -150,7 +149,7 @@ def iterate_retrieval(
 
     if method == "adiabatic":
         sigma, _ = normalized_spinwave(init)
-        fwd = retrieval_matrix(ctrl, params, sigma.grid)
+        fwd = _retrieval_map(ctrl, params, sigma.grid)
         tw = _trapezoid_weights(ctrl.grid)
 
         def run(samples):
@@ -159,7 +158,7 @@ def iterate_retrieval(
 
         def reverse(e, eta):
             # store time_reverse(e), flip into the retrieval frame: the reversals cancel
-            return _adjoint(fwd, np.conj(e), ctrl.grid, sigma.grid) / math.sqrt(eta)
+            return fwd.adjoint(np.conj(e), tw, sigma.grid.weights) / math.sqrt(eta)
 
     else:
         sigma, _ = normalized_spinwave(
@@ -247,7 +246,7 @@ def optimize_storage_retrieval(
         return controls, trace
 
     ctrl = completing_control(params)  # real and constant: its own time reverse
-    fwd = retrieval_matrix(ctrl, params, grid)
+    fwd = _retrieval_map(ctrl, params, grid)
     tw = _trapezoid_weights(ctrl.grid)
     u = _WaveformSpline(input_mode)(ctrl.grid.times)
     nrm = math.sqrt(float(tw @ np.abs(u) ** 2))
@@ -255,8 +254,8 @@ def optimize_storage_retrieval(
         raise ValueError("input mode vanishes on the iteration window")
 
     def run(x):
-        # store, then retrieve forward (no flip); copied, as @ skips BLAS on a reversed view
-        e = fwd @ _adjoint(fwd, x[::-1], ctrl.grid, grid)[::-1].copy()
+        # store, then retrieve forward (no flip)
+        e = fwd @ fwd.adjoint(x[::-1], tw, grid.weights)[::-1]
         return float(tw @ np.abs(e) ** 2), e
 
     efficiencies, u, iterations, converged = _time_reversal_loop(

@@ -207,16 +207,17 @@ def _medium_dtau(params: MediumParams) -> float:
 
 
 def _output_grid(params: MediumParams, window, ctrl: Waveform, input_mode, dtau,
-                 n_zeta: int) -> TimeGrid:
+                 n_zeta: int, tail: float) -> TimeGrid:
     """Uniform grid of the output field: equal spacings of at most ``dtau``,
     or when it is ``None`` of at most the medium's step bound and the
     sampling of a sampled control or input.  It sets where the output is
     written; only an explicit ``dtau`` also sets the RK4 steps.  A run whose
-    predicted steps (at ``dtau``, else at the step bound) times ``n_zeta``
-    exceed ``WORK_BUDGET`` is refused before anything is allocated."""
+    predicted steps (at ``dtau``, else at the step bound) over the window
+    and the ``tail`` after it (a ring-down) times ``n_zeta`` exceed
+    ``WORK_BUDGET`` is refused before anything is allocated."""
     t0, t1 = window
     bound = _medium_dtau(params)
-    work = math.ceil((t1 - t0) / (bound if dtau is None else dtau) - 1e-12) * n_zeta
+    work = math.ceil((t1 - t0 + tail) / (bound if dtau is None else dtau) - 1e-12) * n_zeta
     if work > WORK_BUDGET:
         raise InstabilityError(f"predicted {work:.3g} cell-steps exceed the budget of "
                                f"{WORK_BUDGET:.3g}; lower d, the window or n_zeta")
@@ -601,7 +602,8 @@ def _simulate(
     """
     if n_zeta < 64:
         raise ValueError("n_zeta must be at least 64")
-    out_grid = _output_grid(params, window, ctrl, input_mode, dtau, n_zeta)
+    out_grid = _output_grid(params, window, ctrl, input_mode, dtau, n_zeta,
+                            RING_DOWN_MAX_TIME if finish is _ring_down else 0.0)
     integ = _Integrator(params, n_zeta)
     p0 = np.zeros(n_zeta, dtype=complex)
     s0 = p0 if s_init is None else resample_spinwave(s_init, integ.grid).samples

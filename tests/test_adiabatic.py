@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from photonmem import (
     adiabatic,
     completing_control,
     flip,
+    iterate_retrieval,
     mode_norm2,
     optimal_spin_wave,
     optimal_storage_control,
@@ -31,8 +33,8 @@ from photonmem import (
 )
 from photonmem.adiabatic import (
     DecayFunction,
-    _RAY_COARSE,
     _bracket_matrix,
+    _chebyshev_level,
     _emission_interpolant,
     _emission_profile,
     _ray_table,
@@ -41,7 +43,7 @@ from photonmem.adiabatic import (
     retrieval_matrix,
     storage_matrix,
 )
-from photonmem.core import _trapezoid_weights
+from photonmem.core import ConvergenceError, _chebyshev_interpolant, _trapezoid_weights
 
 from conftest import smooth_test_wave
 
@@ -74,11 +76,11 @@ def shaping_rows(params):
 
 def shaping_table(params, zeta):
     """The ray table a shaping's Chebyshev interpolant shares up to the default cap."""
-    return _ray_table(np.sqrt(default_h_max(params)), zeta, params, _RAY_COARSE)
+    return _ray_table(np.sqrt(default_h_max(params)), zeta, params)
 
 
-def shaping_bracket_rows(monkeypatch, s, target, params):
-    """The bracket rows one shaping of ``target`` from ``s`` evaluates, in all."""
+def bracket_rows(monkeypatch, call):
+    """The bracket rows ``call()`` evaluates, in all."""
     rows = []
     real = adiabatic._bracket_matrix
 
@@ -86,9 +88,15 @@ def shaping_bracket_rows(monkeypatch, s, target, params):
         rows.append(np.size(h))
         return real(h, *args, **kwargs)
 
-    monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
-    shape_retrieval_control(s, target, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(adiabatic, "_bracket_matrix", counting)
+        call()
     return sum(rows)
+
+
+def shaping_bracket_rows(monkeypatch, s, target, params):
+    """The bracket rows one shaping of ``target`` from ``s`` evaluates, in all."""
+    return bracket_rows(monkeypatch, lambda: shape_retrieval_control(s, target, params))
 
 
 def row_rate(params):
@@ -350,6 +358,80 @@ class TestBracket:
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+class TestFactoredMap:
+    @pytest.mark.parametrize("d, delta", [(1.0, 0.0), (10.0, 30.0), (100.0, 0.0),
+                                          (300.0, -45.0), (1e3, 0.0)])
+    def test_retrieval_matrix_matches_direct_rows(self, d, delta, gauss_grid):
+        # the Chebyshev rows interpolated to the samples against the bracket
+        # evaluated at every sample, the direct route
+        params = MediumParams(d=d, delta=delta)
+        ctrl = completing_control(params, n=2001)
+        h = DecayFunction.from_control(ctrl).h
+        row = -np.sqrt(d) * ctrl.samples * np.exp(1j * row_rate(params) * h)
+        ref = (_bracket_matrix(h, gauss_grid.nodes[::-1], params) * row[:, None]
+               * (gauss_grid.weights / (1.0 + 1j * delta)))
+        got = retrieval_matrix(ctrl, params, gauss_grid)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_shallow_maps_evaluate_first_level_only(self, monkeypatch, reference_input,
+                                                    gauss_grid, optimal_modes):
+        # a guard without timing: at d = 10 the direct route takes one row per
+        # sample (2,001 and 1,501), the first Chebyshev level 65
+        params = MediumParams(d=10.0)
+        ctrl = ControlField(grid=reference_input.grid,
+                            samples=np.full(reference_input.grid.n, 1.6 + 0.0j))
+        s, _ = optimal_modes[10.0]
+        calls = (lambda: store_adiabatic(reference_input, ctrl, params, gauss_grid),
+                 lambda: iterate_retrieval(10.0, completing_control(params), s))
+        for call in calls:
+            assert 0 < bracket_rows(monkeypatch, call) <= 65
+
+    @pytest.mark.parametrize("d, delta, n", [(10.0, 0.0, 41), (100.0, 30.0, 101),
+                                             (100.0, 0.0, 261), (1e4, 10.0, 1501),
+                                             (1e4, 0.0, 1501)])
+    def test_no_map_evaluates_more_rows_than_samples(self, monkeypatch, gauss_grid,
+                                                     d, delta, n):
+        # the direct route takes one row per sample; a control too short for
+        # the Chebyshev levels, or one whose rows are predicted to need more
+        # points than the factors pay for, takes that route and no Chebyshev
+        # row besides
+        params = MediumParams(d=d, delta=delta)
+        ctrl = completing_control(params, n=n)
+        inp = FieldMode(grid=ctrl.grid, samples=np.ones(n, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AdiabaticityWarning)
+            for call in (lambda: retrieval_matrix(ctrl, params, gauss_grid),
+                         lambda: store_adiabatic(inp, ctrl, params, gauss_grid)):
+                assert 0 < bracket_rows(monkeypatch, call) <= n
+
+    def test_chop_past_its_bound_raises(self, monkeypatch, gauss_grid):
+        # a prediction two levels short: the chop stops at the level above it
+        # and raises, rather than spend its rows and then the direct ones; at
+        # d = 1e3 the chop takes 257 points, two levels above 65
+        params = MediumParams(d=1e3)
+        ctrl = completing_control(params)
+        monkeypatch.setattr(adiabatic, "_chebyshev_level", lambda *args: 65)
+        with pytest.raises(ConvergenceError):
+            retrieval_matrix(ctrl, params, gauss_grid)
+
+    @pytest.mark.parametrize("d, delta, frac", [(1.0, 0.0, 1.0), (100.0, 30.0, 1.0),
+                                                (300.0, 3.0, 0.3), (1e3, 10.0, 0.1),
+                                                (1e3, 1.0, 0.1), (1e4, 0.0, 1.0),
+                                                (1e4, 100.0, 1.0)])
+    def test_chop_takes_at_most_one_level_above_the_prediction(self, d, delta, frac,
+                                                               gauss_grid):
+        # the prediction that picks the route: the chop, run to the end, takes
+        # at most the level above it, the bound the factored route gives it
+        params = MediumParams(d=d, delta=delta)
+        u_max = np.sqrt(frac * default_h_max(params))
+        zeta = gauss_grid.nodes[::-1]
+        table = _ray_table(u_max, zeta, params)
+        got = _chebyshev_interpolant(
+            lambda u: _bracket_matrix(u * u, zeta, params, table), 0.0, u_max
+        ).n
+        assert got <= 2 * _chebyshev_level(u_max, zeta[0], params) - 1
+
+
 class TestRetrieveAdiabatic:
     def test_zero_control_zero_output(self, optimal_modes):
         s, _ = optimal_modes[10.0]
@@ -449,6 +531,14 @@ class TestStoreAdiabatic:
         got = store_adiabatic(reference_input, ctrl, params, gauss_grid).samples
         scale = np.max(np.abs(m) @ np.abs(reference_input.samples))
         assert np.max(np.abs(got - m @ reference_input.samples)) <= 1e-14 * scale
+
+    def test_stored_wave_holds_no_sample_matrix(self, reference_input, gauss_grid):
+        # 2,001 x 200: a retrieval matrix alone takes 6.1 MiB; the applied
+        # adjoint holds the Chebyshev rows and their interpolation matrix
+        params = MediumParams(d=100.0, delta=30.0)
+        ctrl = chirped_storage_control(params, reference_input.grid)
+        assert traced_peak(lambda: store_adiabatic(reference_input, ctrl, params,
+                                                   gauss_grid)) <= 4 * 2**20
 
     def test_storage_memory_is_one_retrieval_matrix(self, reference_input, gauss_grid):
         # 2,001 x 200: the retrieval matrix (6.1 MiB) and its bracket scratch;

@@ -307,14 +307,27 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_run_over_the_work_budget_is_two(self, tmp_path, capsys):
-        # d = 1e6 at T = 20: 7.0e6 steps at the medium's bound on 256 cells,
-        # 1.8e9 cell-steps; refused up front, before any file is written
+        # d = 1e6 at T = 20: 7.0e6 steps at the medium's bound on 256 cells
+        # over the window and 2.1e7 with the 40-unit ring-down, 5.4e9
+        # cell-steps; refused up front, before any file is written
         out = tmp_path / "x"
         start = time.perf_counter()
         assert main(["simulate", "--d", "1e6", "--out", str(out)]) == 2
         assert time.perf_counter() - start < 2.0
-        assert "1.79e+09 cell-steps exceed the budget of 1e+08" in capsys.readouterr().err
+        assert "5.38e+09 cell-steps exceed the budget of 1e+08" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
+
+    def test_run_whose_ring_down_passes_the_work_budget_is_two(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # d = 3e4 at T = 20: 2.1e5 steps at the medium's bound over the window,
+        # 5.4e7 cell-steps on 256 cells, within the budget; with the 40-unit
+        # ring-down 6.3e5 steps, 1.6e8 cell-steps.  Refused before the
+        # integrator is built, and before the output directory is made
+        monkeypatch.setattr(photonmem.simulator, "_Integrator", None)
+        out = tmp_path / "x"
+        assert main(["simulate", "--d", "3e4", "--out", str(out)]) == 2
+        assert "1.61e+08 cell-steps exceed the budget of 1e+08" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["simulate", "--d", "1e6"], ""),

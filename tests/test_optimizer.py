@@ -30,9 +30,11 @@ def bracket_calls(monkeypatch):
     calls = []
     real = adiabatic._bracket_matrix
 
-    def counting(h, zeta, params):
-        calls.append(np.size(h))
-        return real(h, zeta, params)
+    def counting(h, zeta, params, table=None):
+        # a call without a table builds its own; calls that pass one share it
+        if table is None or not any(table is t for t in calls):
+            calls.append(table)
+        return real(h, zeta, params, table)
 
     monkeypatch.setattr(adiabatic, "_bracket_matrix", counting)
     return calls
@@ -62,6 +64,20 @@ class TestTimeReversalTables:
             tracemalloc.stop()
         assert trace.converged
         assert peak <= 7 * 2**20
+
+    def test_adiabatic_iteration_holds_only_the_factors(self, gauss_grid):
+        # 1,501 x 200: the Chebyshev rows and their interpolation matrix, not
+        # the 4.6 MiB retrieval matrix
+        init = SpinWave(grid=gauss_grid, samples=np.ones(gauss_grid.n, dtype=complex))
+        ctrl = completing_control(MediumParams(d=100.0, delta=30.0))
+        tracemalloc.start()
+        try:
+            trace = iterate_retrieval(100.0, ctrl, init, delta=30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.converged
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("d, delta", [(1.0, 0.0), (30.0, 0.0), (10.0, -50.0), (300.0, 7.0)])
     def test_completing_control_is_its_own_time_reverse(self, d, delta):
