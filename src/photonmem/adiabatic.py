@@ -16,11 +16,11 @@ dh/dtau and the phase from the closed form itself.  Storage is the time
 reverse of retrieval; its closed form is the adjoint integral and optimal
 storage controls are time-reversed shaped retrieval controls.
 
-Both maps share one factored retrieval matrix R = diag(row) L B diag(col):
-B is the bracket on a few Chebyshev points in sqrt(h), chopped over all
-its columns, and L their barycentric interpolation to the control's
-samples.  Retrieval applies L (B s), storage the weighted adjoint
-((tw e row) L) B, so neither builds a matrix over every sample.
+Both maps share one factored retrieval matrix R = diag(row) C B: B is the
+weighted bracket on a few Chebyshev points in sqrt(h), chopped over all
+its columns, and C the barycentric formula's matrix from them to the
+control's samples.  Retrieval applies C (B s), storage the weighted
+adjoint ((tw e row) C) B, so neither builds a matrix over every sample.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ def default_h_max(params: MediumParams) -> float:
 # itself: 7e-22.
 _RAY_STEP, _RAY_ORDER = 0.5, 14
 _RAY_BLOCK = 64  # rows per evaluation block, sized to stay in cache
-# the most Chebyshev points of a factored retrieval map: on 1,501 samples at
-# d = 3000, 513 points took 32 ms to store and 46 ms for the dense matrix,
-# the rows at the samples 24 and 23 ms
+# the most Chebyshev points of a factored map's predicted level; the chop may
+# take the level above: 513 points at d = 3000, delta = 100 on 1,501 samples
+# (store 19 ms, dense matrix 31; the rows at the samples 15 and 15)
 _MAP_POINTS = 257
 # Chebyshev points in sqrt(h) of the shaping's energy table, the least; an
 # n-point interpolant of q takes the first 2^k + 1 >= 2n above it
@@ -278,34 +278,20 @@ def _emission_profile(
     return _bracket_matrix(np.atleast_1d(h), s.grid.nodes, params, table) @ v
 
 
-@dataclass(frozen=True, eq=False)
-class _EmissionInterpolant:
-    """q(h) = e^{i r h} q~(sqrt(h)), r = delta / (1 + delta^2), with q~ the
-    Chebyshev interpolant ``smooth`` in sqrt(h)."""
-
-    smooth: _BarycentricInterpolant
-    rate: float
-
-    def __call__(self, h):
-        return np.exp(1j * self.rate * h) * self.smooth(np.sqrt(h))
-
-
 def _emission_interpolant(
     s: SpinWave, params: MediumParams, h_max: float
-) -> _EmissionInterpolant:
-    """q(h) on [0, h_max], read off a chopped Chebyshev interpolant in sqrt(h).
+) -> _BarycentricInterpolant:
+    """q~(u) = q(u^2) e^{-i r u^2}, r = delta / (1 + delta^2), on [0, sqrt(h_max)].
 
-    With its row phase e^{i r h}, r = delta / (1 + delta^2), factored out, q
-    is smooth in u = sqrt(h), so a few hundred bracket rows, all sharing one
-    ray table, carry q(u^2) e^{-i r u^2} to rounding level; a call applies
-    the row phase exactly at each h.
+    Without its row phase q is smooth in u = sqrt(h), so a chopped Chebyshev
+    interpolant on a few hundred bracket rows, sharing one ray table, carries
+    q~ to rounding level; the reader applies the row phase exactly at each h.
     """
     u_max = math.sqrt(h_max)
     table = _ray_table(u_max, s.grid.nodes, params)
-    q_tilde = _chebyshev_interpolant(
+    return _chebyshev_interpolant(
         lambda u: _emission_profile(u * u, s, params, table), 0.0, u_max
     )
-    return _EmissionInterpolant(smooth=q_tilde, rate=_row_rate(params))
 
 
 def _warn_short_window(duration: float, d: float, what: str):
@@ -340,34 +326,33 @@ def _chebyshev_level(u_max: float, zeta_max: float, params: MediumParams) -> int
 
 @dataclass(frozen=True, eq=False)
 class _RetrievalMap:
-    """R = diag(row) L B diag(col), the retrieval matrix of a control in factors.
+    """R = diag(row) C B, the retrieval matrix of a control in factors.
 
-    ``row`` is -sqrt(d) omega e^{i r h} and ``col`` the
-    :func:`_quadrature_weights`.  B, ``rows``, holds the bracket rows at the
-    reversed nodes on Chebyshev points in sqrt(h), and L, ``lag``, is their
-    real barycentric matrix at the samples' sqrt(h); where ``lag`` is None,
-    B holds the rows at the samples and L = 1.
+    B, ``rows``, holds the bracket rows at the reversed nodes on Chebyshev
+    points in sqrt(h) times the :func:`_quadrature_weights`; C, ``lag``, is
+    their real barycentric ``cauchy`` matrix at the samples' sqrt(h), and
+    ``row`` is -sqrt(d) omega e^{i r h} over C's row sums.  Where ``lag`` is
+    None, B holds the rows at the samples and C = 1.
     """
 
     row: np.ndarray
     rows: np.ndarray
-    col: np.ndarray
     lag: np.ndarray | None
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        x = self.rows @ (self.col * v)
+        x = self.rows @ v
         if self.lag is not None:
             x = _real_product(self.lag, x)
         return self.row * x
 
     def adjoint(self, e: np.ndarray, tw: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(tw e) R / w = ((tw e row) L) B col / w, the adjoint of R in the time
+        """(tw e) R / w = ((tw e row) C) B / w, the adjoint of R in the time
         weights ``tw`` and the space weights ``w``.  A control stores x into
         adjoint(x[::-1])[::-1], with R the retrieval matrix of its time reverse."""
         y = tw * e * self.row
         if self.lag is not None:
             y = _real_product(self.lag.T, y)
-        return (y @ self.rows) * (self.col / w)
+        return (y @ self.rows) / w
 
 
 def _retrieval_map(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> _RetrievalMap:
@@ -384,15 +369,17 @@ def _retrieval_map(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) ->
     sh, zeta = np.sqrt(h), grid.nodes[::-1]
     table = _ray_table(sh[-1], zeta, params)
     level = _chebyshev_level(sh[-1], zeta[0], params)
+    row = -math.sqrt(params.d) * ctrl.samples * np.exp(1j * _row_rate(params) * h)
     if level <= _MAP_POINTS and 2 * level - 1 < h.size:
         cheb = _chebyshev_interpolant(
             lambda u: _bracket_matrix(u * u, zeta, params, table), 0.0, sh[-1], 2 * level - 1
         )
-        rows, lag = cheb.values, cheb.lagrange(sh)
+        rows, lag = cheb.values, cheb.cauchy(sh)
+        row /= lag.sum(axis=1)
     else:
         rows, lag = _bracket_matrix(h, zeta, params, table), None
-    row = -math.sqrt(params.d) * ctrl.samples * np.exp(1j * _row_rate(params) * h)
-    return _RetrievalMap(row=row, rows=rows, col=_quadrature_weights(grid, params), lag=lag)
+    rows *= _quadrature_weights(grid, params)
+    return _RetrievalMap(row=row, rows=rows, lag=lag)
 
 
 def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) -> np.ndarray:
@@ -405,7 +392,6 @@ def retrieval_matrix(ctrl: ControlField, params: MediumParams, grid: SpaceGrid) 
     """
     fwd = _retrieval_map(ctrl, params, grid)
     r = fwd.rows if fwd.lag is None else (fwd.lag @ fwd.rows.view(float)).view(complex)
-    r *= fwd.col
     r *= fwd.row[:, None]
     return r
 
@@ -560,8 +546,8 @@ def _shape_retrieval(
     demanded = eta_r * cum / total  # target assumed unit norm; rescale defensively
     demanded_tail = eta_r * tail_cum / total
 
-    q = _emission_interpolant(s, params, h_max)
-    u_tab, f_tab, df_tab, g_tab, tail_tab = _tabulate_energy_curve(q.smooth, params.d)
+    q_tilde = _emission_interpolant(s, params, h_max)
+    u_tab, f_tab, df_tab, g_tab, tail_tab = _tabulate_energy_curve(q_tilde, params.d)
     w_tab = np.diff(u_tab)
     g_cap = float(g_tab[-1])
     truncation_loss = float(max(0.0, 1.0 - g_cap / eta_r))
@@ -609,7 +595,7 @@ def _shape_retrieval(
     # the row phase of q is exact at h(tau), where at |delta| >~ 200 arg q
     # turns by more than 1 rad between table points; only the smooth rest of q
     # is interpolated
-    q_at_h = q(h)
+    q_at_h = np.exp(1j * _row_rate(params) * h) * q_tilde(np.sqrt(h))
     phase_ref = -target.samples * np.conj(q_at_h)
     # the unit phasor of phase_ref (1 where it is 0) is exactly real where
     # phase_ref is, so resonant controls come out exactly real

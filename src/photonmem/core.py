@@ -422,7 +422,7 @@ class _BarycentricInterpolant:
 
     A call evaluates the barycentric formula with the points' ``weights``,
     ``_CHEB_BLOCK // n`` points at a time, so memory stays bounded whatever
-    the number of evaluation points; :meth:`lagrange` is its matrix.
+    the number of evaluation points; :meth:`cauchy` is the formula's matrix.
     """
 
     points: np.ndarray
@@ -436,36 +436,28 @@ class _BarycentricInterpolant:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        w = self.weights
         # numerator (real and imaginary parts) and denominator in one product
         vals = np.column_stack([self.values.real, self.values.imag, np.ones(self.n)])
         out = np.empty(flat.size, dtype=complex)
         step = max(1, _CHEB_BLOCK // self.n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(0, flat.size, step):
-                xb = flat[r:r + step]
-                c = np.subtract.outer(xb, self.points)
-                np.divide(w, c, out=c)
-                num = c @ vals
-                q = (num[:, 0] + 1j * num[:, 1]) / num[:, 2]
-                miss = np.isnan(q)
-                if miss.any():  # x on a node, where the formula reads inf / inf
-                    near = np.abs(xb[miss, None] - self.points).argmin(axis=1)
-                    q[miss] = self.values[near]
-                out[r:r + step] = q
+        for r in range(0, flat.size, step):
+            num = self.cauchy(flat[r:r + step]) @ vals
+            out[r:r + step] = (num[:, 0] + 1j * num[:, 1]) / num[:, 2]
         return out.reshape(x.shape)
 
-    def lagrange(self, x: np.ndarray) -> np.ndarray:
-        """The real len(x) x n matrix L of the formula at the points ``x``:
-        ``L @ values`` is the interpolant there."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.subtract.outer(x, self.points)
-            np.divide(self.weights, c, out=c)
-            c /= c.sum(axis=1, keepdims=True)
-        on = np.flatnonzero(np.isnan(c).any(axis=1))  # x on a node
-        if on.size:
-            c[on] = 0.0
-            c[on, np.abs(x[on, None] - self.points).argmin(axis=1)] = 1.0
+    def cauchy(self, x: np.ndarray) -> np.ndarray:
+        """The real len(x) x n matrix C_ij = w_j / (x_i - p_j), with the unit
+        row of p_j where x_i = p_j: (C @ v) / (C @ 1) interpolates v at x.
+        The points p may come in any order (Chebyshev points descend, the
+        Gauss nodes of :func:`resample_spinwave` ascend)."""
+        order = np.argsort(self.points)
+        near = order[np.searchsorted(self.points, x, sorter=order).clip(max=self.n - 1)]
+        on = np.flatnonzero(self.points[near] == x)
+        c = np.subtract.outer(x, self.points)
+        c[on] = 1.0  # no division by zero on the rows replaced below
+        np.divide(self.weights, c, out=c)
+        c[on] = 0.0
+        c[on, near[on]] = 1.0
         return c
 
 

@@ -24,6 +24,7 @@ from photonmem import (
 from photonmem.core import (
     _CHEB_MAX,
     _CHEB_START,
+    _BarycentricInterpolant,
     _WaveformSpline,
     _chebyshev_coefficients,
     _chebyshev_interpolant,
@@ -314,3 +315,39 @@ def test_nondimensionalize_doc_states_the_system():
         "P decays at unit rate",
     ):
         assert fragment in text
+
+
+def barycentric(kind):
+    """An interpolant on descending Chebyshev points or on ascending Gauss
+    nodes with the weights :func:`resample_spinwave` gives them."""
+    if kind == "chebyshev":
+        return _chebyshev_interpolant(lambda x: np.exp(3j * x) * np.cos(5.0 * x), 0.0, 2.0)
+    g = SpaceGrid.gauss_legendre(40)
+    z = g.nodes
+    w = (-1.0) ** np.arange(z.size) * np.sqrt(z * (1.0 - z) * g.weights)
+    return _BarycentricInterpolant(points=z, values=np.exp(2j * z) * (1.0 + z), weights=w)
+
+
+class TestCauchyMatrix:
+    @pytest.mark.parametrize("kind", ["chebyshev", "gauss"])
+    def test_on_node_rows_are_exact(self, kind):
+        # both end points and shuffled interior nodes, among points off every node
+        interp = barycentric(kind)
+        n = interp.n
+        pick = np.concatenate([[0, n - 1], np.random.default_rng(5).permutation(n - 2)[:12] + 1])
+        off = 0.5 * (interp.points[1:] + interp.points[:-1])
+        c = interp.cauchy(np.concatenate([off[:5], interp.points[pick], off[5:]]))
+        assert np.all(np.isfinite(c))
+        assert np.array_equal(c[5:5 + pick.size], np.eye(n)[pick])
+        assert np.array_equal(interp(interp.points[pick]), interp.values[pick])
+
+    @pytest.mark.parametrize("kind", ["chebyshev", "gauss"])
+    def test_formula_is_the_call_off_the_nodes(self, kind):
+        interp = barycentric(kind)
+        lo, hi = np.min(interp.points), np.max(interp.points)
+        x = np.linspace(lo, hi, 3001)
+        x = x[~np.isin(x, interp.points)]
+        c = interp.cauchy(x)
+        v = interp.values
+        got = (c @ v) / (c @ np.ones(interp.n))
+        assert np.max(np.abs(got - interp(x))) <= 1e-15 * np.max(np.abs(v))
